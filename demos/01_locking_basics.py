@@ -52,7 +52,7 @@ print(f"\ntrained {model.param_count} parameters, "
       f"final train accuracy {history[-1].accuracy:.3f}")
 
 locked_model = lock_model(model, key)
-print("locked blob bytes:", sum(len(b) for b in locked_model.blobs),
+print("locked blob bytes:", len(locked_model.blob),
       "(4 bytes per parameter)")
 
 # with the right key the unlock is bit-exact, so accuracy cannot move

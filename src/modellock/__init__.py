@@ -16,8 +16,6 @@ from .cipher import (
     check_key,
     expand_keystream,
     lock_bytes,
-    sbox_forward,
-    sbox_inverse,
     unlock_bytes,
 )
 from .data import Dataset, load_idx_dataset, manifest_split, parse_idx, synthetic_dataset
@@ -40,7 +38,6 @@ from .locker import (
     FormatError,
     LockedModel,
     TruncatedFileError,
-    UnlockedView,
     UnsupportedVersionError,
     lock_model,
     read_locked,

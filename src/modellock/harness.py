@@ -1,8 +1,8 @@
 """Experiment harness: fidelity, wrong-key sweeps, latency, fine-tuning attack.
 
 Evaluation of a locked model follows the per-query unlock contract: batch
-accuracy runs unlock the parameters once per evaluation pass and drop the
-view afterwards, while latency benchmarking unlocks once per single input
+accuracy runs unlock the parameters once per evaluation pass and drop them
+afterwards, while latency benchmarking unlocks once per single input
 (that is the measured "query"). Reports record which mode was used.
 
 All experiments take explicit seeds and are bit-reproducible. Reports
@@ -23,9 +23,9 @@ import numpy as np
 from . import nn
 from .cipher import KEY_LEN, check_key
 from .data import Dataset
-from .locker import LockedModel, UnlockedView, raw_locked_params, unlock_model
+from .locker import LockedModel, raw_locked_params, unlock_model
 
-Subject = Union[nn.Model, UnlockedView, LockedModel]
+Subject = Union[nn.Model, LockedModel]
 
 
 @dataclass
@@ -98,11 +98,11 @@ def _evaluate_params(model_like, dataset: Dataset, batch_size: int):
 
 def evaluate(subject: Subject, dataset: Dataset, key: Optional[bytes] = None,
              batch_size: int = 256) -> EvalReport:
-    """Accuracy report for a plain model, an unlocked view, or a locked model.
+    """Accuracy report for a plain or unlocked model, or a locked model.
 
     Locked subjects require ``key`` and are unlocked once for the pass; the
-    view is discarded when the pass ends. An empty dataset is an error, not
-    accuracy zero.
+    unlocked parameters are discarded when the pass ends. An empty dataset
+    is an error, not accuracy zero.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -226,7 +226,8 @@ def benchmark_latency(model: nn.Model, locked: LockedModel, key: bytes,
 
 
 def _run_fine_tune(model: nn.Model, manifest: Dataset, val: Dataset,
-                   cfg: nn.TrainConfig, config_echo: dict) -> AttackCurve:
+                   cfg: nn.TrainConfig, arm: dict,
+                   fraction: Optional[float]) -> AttackCurve:
     curve: list[float] = []
     nonfinite_epochs = 0
 
@@ -238,10 +239,21 @@ def _run_fine_tune(model: nn.Model, manifest: Dataset, val: Dataset,
             nonfinite_epochs += 1
 
     nn.train(model, manifest, cfg, epoch_hook=hook)
+    config = {
+        **arm,
+        "fraction": fraction,
+        "epochs": cfg.epochs,
+        "batch_size": cfg.batch_size,
+        "learning_rate": cfg.learning_rate,
+        "train_seed": cfg.seed,
+        "manifest": manifest.name,
+        "manifest_size": len(manifest),
+        "val": val.name,
+    }
     return AttackCurve(
         per_epoch_val_accuracy=curve,
         final_accuracy=curve[-1] if curve else float("nan"),
-        config=config_echo,
+        config=config,
         nonfinite_epochs=nonfinite_epochs,
     )
 
@@ -265,19 +277,8 @@ def fine_tune_attack(locked: LockedModel, wrong_key: bytes, manifest: Dataset,
     else:
         raise ValueError(f"init_mode must be 'unlocked' or 'raw', got {init_mode!r}")
     model = nn.Model(locked.arch, params)
-    echo = {
-        "arm": "attack",
-        "init_mode": init_mode,
-        "fraction": fraction,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "train_seed": cfg.seed,
-        "manifest": manifest.name,
-        "manifest_size": len(manifest),
-        "val": val.name,
-    }
-    return _run_fine_tune(model, manifest, val, cfg, echo)
+    arm = {"arm": "attack", "init_mode": init_mode}
+    return _run_fine_tune(model, manifest, val, cfg, arm, fraction)
 
 
 def fine_tune_control(locked: LockedModel, init_seed: int, manifest: Dataset,
@@ -288,20 +289,8 @@ def fine_tune_control(locked: LockedModel, init_seed: int, manifest: Dataset,
     Separates what the attack data budget can achieve from what the locked
     initialization destroys."""
     model = nn.build_model(locked.arch, init_seed)
-    echo = {
-        "arm": "control",
-        "init_mode": "fresh",
-        "init_seed": init_seed,
-        "fraction": fraction,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "train_seed": cfg.seed,
-        "manifest": manifest.name,
-        "manifest_size": len(manifest),
-        "val": val.name,
-    }
-    return _run_fine_tune(model, manifest, val, cfg, echo)
+    arm = {"arm": "control", "init_mode": "fresh", "init_seed": init_seed}
+    return _run_fine_tune(model, manifest, val, cfg, arm, fraction)
 
 
 # ---------------------------------------------------------------------------

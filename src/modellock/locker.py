@@ -27,19 +27,24 @@ File container (all integers little-endian):
 ``DLK1`` blobs hold S-Box-locked bytes; ``DLM1`` blobs hold raw binary32
 values. The digest detects corruption only — it does not authenticate the
 key, and a locked file deliberately cannot reveal whether a key is correct.
+After the digest, readers require the tensor table to equal the names and
+shapes the architecture text implies (``Architecture.param_specs``), with
+4 bytes per element; a table that disagrees is a :class:`FormatError`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cipher import check_key, expand_keystream, lock_bytes, unlock_bytes
-from .nn import Architecture, Model, WeightTensor, format_architecture, parse_architecture
+from .nn import (Architecture, ArchitectureError, Model, WeightTensor, format_architecture,
+                 parse_architecture)
 
 MAGIC_LOCKED = b"DLK1"
 MAGIC_PLAIN = b"DLM1"
@@ -70,133 +75,98 @@ class DigestMismatchError(FormatError):
 @dataclass
 class LockedModel:
     arch: Architecture
-    tensor_names: list[str]
-    tensor_shapes: list[tuple[int, ...]]
-    blobs: list[bytes]
+    blob: bytes  # locked canonical parameter buffer
     format_version: int
     digest: bytes
 
     def __post_init__(self):
-        for shape, blob in zip(self.tensor_shapes, self.blobs):
-            expected = 4 * int(np.prod(shape)) if shape else 4
-            if len(blob) != expected:
-                raise FormatError(
-                    f"blob length {len(blob)} does not match shape {shape}"
-                )
+        if len(self.blob) != 4 * self.param_count:
+            raise FormatError(
+                f"blob length {len(self.blob)} does not match {self.param_count} parameters"
+            )
 
     @property
     def param_count(self) -> int:
-        return sum(int(np.prod(shape)) for shape in self.tensor_shapes)
+        return self.arch.param_count
 
     def verify_digest(self) -> None:
-        body = _serialize_body(MAGIC_LOCKED, self.format_version, self.arch,
-                               self.tensor_names, self.tensor_shapes, self.blobs)
+        body = _serialize_body(MAGIC_LOCKED, self.format_version, self.arch, self.blob)
         if hashlib.sha256(body).digest() != self.digest:
             raise DigestMismatchError("locked model failed its integrity check")
 
 
-@dataclass
-class UnlockedView:
-    """Parameters reconstructed with a caller-supplied key.
-
-    Transient by contract: scoped to the query that created it, never
-    written to persistent storage (write_model refuses it).
-    """
-
-    arch: Architecture
-    params: list[WeightTensor]
-
-    @property
-    def param_count(self) -> int:
-        return sum(t.size for t in self.params)
+def _params_bytes(model: Model) -> bytes:
+    """The canonical parameter buffer: every scalar as ``<f4``, in order."""
+    return b"".join(np.ascontiguousarray(t.values, dtype="<f4").tobytes()
+                    for t in model.params)
 
 
-def _float_bytes(tensor: WeightTensor) -> bytes:
-    values = np.ascontiguousarray(tensor.values, dtype="<f4")
-    return values.tobytes()
+def _params_from_bytes(arch: Architecture, buf: bytes) -> list[WeightTensor]:
+    """Split a canonical parameter buffer into ``arch``'s tensors (one copy)."""
+    values = np.frombuffer(buf, dtype="<f4").copy()
+    params = []
+    offset = 0
+    for name, shape in arch.param_specs():
+        size = math.prod(shape)
+        params.append(WeightTensor(name, values[offset : offset + size].reshape(shape)))
+        offset += size
+    return params
 
 
 def lock_model(model: Model, key: bytes) -> LockedModel:
-    """Lock every parameter of ``model`` under ``key`` (keystream offsets run
-    across tensor boundaries, matching the canonical concatenated order)."""
+    """Lock every parameter of ``model`` under ``key``: one keystream over the
+    canonical parameter buffer, so offsets run across tensor boundaries."""
     key = check_key(key)
     model.validate()
-    keystream = expand_keystream(key, 4 * model.param_count)
-    blobs = []
-    offset = 0
-    for tensor in model.params:
-        plain = _float_bytes(tensor)
-        blobs.append(lock_bytes(plain, keystream[offset : offset + len(plain)]))
-        offset += len(plain)
-    names = [t.name for t in model.params]
-    shapes = [tuple(t.values.shape) for t in model.params]
-    body = _serialize_body(MAGIC_LOCKED, FORMAT_VERSION, model.arch, names, shapes, blobs)
-    return LockedModel(
-        arch=model.arch,
-        tensor_names=names,
-        tensor_shapes=shapes,
-        blobs=blobs,
-        format_version=FORMAT_VERSION,
-        digest=hashlib.sha256(body).digest(),
-    )
+    plain = _params_bytes(model)
+    blob = lock_bytes(plain, expand_keystream(key, len(plain)))
+    body = _serialize_body(MAGIC_LOCKED, FORMAT_VERSION, model.arch, blob)
+    return LockedModel(model.arch, blob, FORMAT_VERSION, hashlib.sha256(body).digest())
 
 
-def unlock_model(locked: LockedModel, key: bytes) -> UnlockedView:
+def unlock_model(locked: LockedModel, key: bytes) -> Model:
     """Decrypt ``locked`` with ``key``; succeeds for any 16-byte key.
 
     Verifies the integrity digest first. A wrong key is not detectable here
-    by design — it produces garbage (often non-finite) parameters.
+    by design — it produces garbage (often non-finite) parameters. The result
+    is transient: ``write_model`` refuses it and its copies.
     """
     key = check_key(key)
     locked.verify_digest()
-    keystream = expand_keystream(key, 4 * locked.param_count)
-    params = []
-    offset = 0
-    for name, shape, blob in zip(locked.tensor_names, locked.tensor_shapes, locked.blobs):
-        plain = unlock_bytes(blob, keystream[offset : offset + len(blob)])
-        offset += len(blob)
-        values = np.frombuffer(plain, dtype="<f4").reshape(shape).copy()
-        params.append(WeightTensor(name, values))
-    return UnlockedView(arch=locked.arch, params=params)
+    plain = unlock_bytes(locked.blob, expand_keystream(key, len(locked.blob)))
+    return Model(locked.arch, _params_from_bytes(locked.arch, plain), transient=True)
 
 
 def raw_locked_params(locked: LockedModel) -> list[WeightTensor]:
-    """Interpret the locked blobs directly as float32 tensors (no unlock).
+    """Interpret the locked blob directly as float32 tensors (no unlock).
 
     Exposed for the fine-tuning attack's alternate initialization mode."""
-    params = []
-    for name, shape, blob in zip(locked.tensor_names, locked.tensor_shapes, locked.blobs):
-        values = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
-        params.append(WeightTensor(name, values))
-    return params
+    return _params_from_bytes(locked.arch, locked.blob)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _serialize_body(magic: bytes, version: int, arch: Architecture,
-                    names: list[str], shapes: list[tuple[int, ...]],
-                    blobs: list[bytes]) -> bytes:
+def _serialize_body(magic: bytes, version: int, arch: Architecture, blob: bytes) -> bytes:
     out = io.BytesIO()
     out.write(magic)
     out.write(struct.pack("<H", version))
     arch_text = format_architecture(arch).encode("utf-8")
     out.write(struct.pack("<I", len(arch_text)))
     out.write(arch_text)
-    out.write(struct.pack("<I", len(names)))
+    specs = arch.param_specs()
+    out.write(struct.pack("<I", len(specs)))
     offset = 0
-    for name, shape, blob in zip(names, shapes, blobs):
+    for name, shape in specs:
         name_bytes = name.encode("utf-8")
         out.write(struct.pack("<I", len(name_bytes)))
         out.write(name_bytes)
-        out.write(struct.pack("<I", len(shape)))
-        for dim in shape:
-            out.write(struct.pack("<I", dim))
-        out.write(struct.pack("<QQ", offset, len(blob)))
-        offset += len(blob)
-    for blob in blobs:
-        out.write(blob)
+        out.write(struct.pack(f"<{1 + len(shape)}I", len(shape), *shape))
+        length = 4 * math.prod(shape)
+        out.write(struct.pack("<QQ", offset, length))
+        offset += length
+    out.write(blob)
     return out.getvalue()
 
 
@@ -234,33 +204,34 @@ def _parse_container(data: bytes, expected_magic: bytes):
     version = r.u16()
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"format version {version} is not supported")
-    arch_text = r.take(r.u32()).decode("utf-8")
-    count = r.u32()
-    names, shapes, spans = [], [], []
-    for _ in range(count):
-        names.append(r.take(r.u32()).decode("utf-8"))
-        rank = r.u32()
-        shapes.append(tuple(r.u32() for _ in range(rank)))
+    arch_text = r.take(r.u32())
+    table = []
+    blob_len = 0
+    for _ in range(r.u32()):
+        name = r.take(r.u32())
+        shape = tuple(r.u32() for _ in range(r.u32()))
         offset = r.u64()
         length = r.u64()
-        spans.append((offset, length))
-    blob_start = r.pos
-    expected = 0
-    for (offset, length), shape in zip(spans, shapes):
-        if offset != expected:
-            raise FormatError(f"blob offset {offset} is not contiguous (expected {expected})")
-        if length != 4 * int(np.prod(shape) if shape else 1):
-            raise FormatError(f"blob length {length} does not match shape {shape}")
-        expected += length
-    blob_section = r.take(expected)
+        if offset != blob_len:
+            raise FormatError(f"blob offset {offset} is not contiguous (expected {blob_len})")
+        table.append((name, shape, length))
+        blob_len += length
+    body_len = r.pos + blob_len
+    blob = r.take(blob_len)
     digest = r.take(DIGEST_LEN)
     if r.pos != len(data):
         raise FormatError(f"{len(data) - r.pos} trailing bytes after digest")
-    if hashlib.sha256(data[:blob_start + expected]).digest() != digest:
+    if hashlib.sha256(data[:body_len]).digest() != digest:
         raise DigestMismatchError("integrity digest does not match file contents")
-    arch = parse_architecture(arch_text)
-    blobs = [blob_section[o : o + l] for o, l in spans]
-    return arch, names, shapes, blobs, version, digest
+    try:
+        arch = parse_architecture(arch_text.decode("utf-8"))
+    except (UnicodeDecodeError, ArchitectureError) as exc:
+        raise FormatError(f"bad architecture text: {exc}") from exc
+    expected = [(name.encode("utf-8"), shape, 4 * math.prod(shape))
+                for name, shape in arch.param_specs()]
+    if table != expected:
+        raise FormatError("tensor table does not match the architecture")
+    return arch, blob, version, digest
 
 
 def _read_source(source) -> bytes:
@@ -282,8 +253,7 @@ def _write_sink(sink, payload: bytes) -> None:
 
 def write_locked(locked: LockedModel, sink) -> None:
     """Write a ``DLK1`` container; byte-identical for identical inputs."""
-    body = _serialize_body(MAGIC_LOCKED, locked.format_version, locked.arch,
-                           locked.tensor_names, locked.tensor_shapes, locked.blobs)
+    body = _serialize_body(MAGIC_LOCKED, locked.format_version, locked.arch, locked.blob)
     if hashlib.sha256(body).digest() != locked.digest:
         raise DigestMismatchError("in-memory locked model failed its integrity check")
     _write_sink(sink, body + locked.digest)
@@ -291,29 +261,19 @@ def write_locked(locked: LockedModel, sink) -> None:
 
 def read_locked(source) -> LockedModel:
     """Parse and integrity-check a ``DLK1`` container."""
-    data = _read_source(source)
-    arch, names, shapes, blobs, version, digest = _parse_container(data, MAGIC_LOCKED)
-    return LockedModel(arch, names, shapes, blobs, version, digest)
+    return LockedModel(*_parse_container(_read_source(source), MAGIC_LOCKED))
 
 
 def write_model(model: Model, sink) -> None:
     """Write a plaintext ``DLM1`` checkpoint (offline workflow only)."""
-    if isinstance(model, UnlockedView):
-        raise TypeError("unlocked views are transient and must not be persisted")
+    if model.transient:
+        raise TypeError("unlocked models are transient and must not be persisted")
     model.validate()
-    names = [t.name for t in model.params]
-    shapes = [tuple(t.values.shape) for t in model.params]
-    blobs = [_float_bytes(t) for t in model.params]
-    body = _serialize_body(MAGIC_PLAIN, FORMAT_VERSION, model.arch, names, shapes, blobs)
+    body = _serialize_body(MAGIC_PLAIN, FORMAT_VERSION, model.arch, _params_bytes(model))
     _write_sink(sink, body + hashlib.sha256(body).digest())
 
 
 def read_model(source) -> Model:
     """Parse a plaintext ``DLM1`` checkpoint back into a Model."""
-    data = _read_source(source)
-    arch, names, shapes, blobs, _, _ = _parse_container(data, MAGIC_PLAIN)
-    params = []
-    for name, shape, blob in zip(names, shapes, blobs):
-        values = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
-        params.append(WeightTensor(name, values))
-    return Model(arch, params)
+    arch, blob, _, _ = _parse_container(_read_source(source), MAGIC_PLAIN)
+    return Model(arch, _params_from_bytes(arch, blob))

@@ -27,6 +27,7 @@ suppressed locally for that reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -184,7 +185,7 @@ class Architecture:
 
     @property
     def param_count(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.param_specs())
+        return sum(math.prod(shape) for _, shape in self.param_specs())
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +318,16 @@ class WeightTensor:
 
 @dataclass
 class Model:
+    """Parameters for ``arch`` in canonical order.
+
+    ``transient`` marks parameters reconstructed with a caller-supplied key
+    (set only by ``locker.unlock_model``): they are scoped to the query that
+    created them, kept by :meth:`copy`, and refused by ``locker.write_model``.
+    """
+
     arch: Architecture
     params: list[WeightTensor]
+    transient: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -344,7 +353,8 @@ class Model:
         return sum(t.size for t in self.params)
 
     def copy(self) -> "Model":
-        return Model(self.arch, [WeightTensor(t.name, t.values.copy()) for t in self.params])
+        return Model(self.arch, [WeightTensor(t.name, t.values.copy()) for t in self.params],
+                     self.transient)
 
 
 @dataclass

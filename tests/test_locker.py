@@ -1,5 +1,6 @@
 import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -71,28 +72,29 @@ def test_round_trip_with_nonfinite_payloads(small_model):
 
 def test_blob_lengths_are_4x_element_count(small_model):
     locked = locker.lock_model(small_model, KEY)
-    for shape, blob in zip(locked.tensor_shapes, locked.blobs):
-        assert len(blob) == 4 * int(np.prod(shape))
-    assert sum(len(b) for b in locked.blobs) == 4 * small_model.param_count
+    assert len(locked.blob) == 4 * sum(t.values.size for t in small_model.params)
+    assert locked.param_count == small_model.param_count
+    with pytest.raises(locker.FormatError):
+        locker.LockedModel(locked.arch, locked.blob[:-4], locked.format_version, locked.digest)
 
 
 def test_mnist_shaped_model_blob_budget():
     model = nn.build_model(mnist_arch(), seed=1)
     assert model.param_count == 86166
     locked = locker.lock_model(model, KEY)
-    assert sum(len(b) for b in locked.blobs) == 344664
+    assert len(locked.blob) == 344664
 
 
 def test_no_plaintext_bytes_survive(small_model):
     # every 4-byte group differs from the plaintext somewhere with
-    # overwhelming probability; check the blobs as a whole
+    # overwhelming probability; check the blob as a whole
     locked = locker.lock_model(small_model, KEY)
-    assert b"".join(locked.blobs) != model_bytes(small_model)
+    assert locked.blob != model_bytes(small_model)
 
 
 def test_zero_parameter_model(zero_param_model):
     locked = locker.lock_model(zero_param_model, KEY)
-    assert locked.blobs == [] and locked.param_count == 0
+    assert locked.blob == b"" and locked.param_count == 0
     view = locker.unlock_model(locked, KEY)
     assert view.params == []
 
@@ -100,15 +102,22 @@ def test_zero_parameter_model(zero_param_model):
 def test_lock_is_deterministic(small_model):
     a = locker.lock_model(small_model, KEY)
     b = locker.lock_model(small_model, KEY)
-    assert a.blobs == b.blobs and a.digest == b.digest
+    assert a.blob == b.blob and a.digest == b.digest
 
 
 def test_keystream_offsets_run_across_tensors(small_model):
-    # locking tensor-by-tensor must equal locking one concatenated stream
+    # locking tensor-by-tensor, each tensor with its own slice of one
+    # keystream, must equal locking one concatenated stream
     locked = locker.lock_model(small_model, KEY)
     plain = model_bytes(small_model)
     ks = expand_keystream(KEY, len(plain))
-    assert b"".join(locked.blobs) == lock_bytes(plain, ks)
+    per_tensor = []
+    offset = 0
+    for tensor in small_model.params:
+        chunk = np.ascontiguousarray(tensor.values, dtype="<f4").tobytes()
+        per_tensor.append(lock_bytes(chunk, ks[offset : offset + len(chunk)]))
+        offset += len(chunk)
+    assert locked.blob == b"".join(per_tensor) == lock_bytes(plain, ks)
 
 
 def test_wrong_key_yields_garbage(small_model):
@@ -136,8 +145,7 @@ def test_wrong_key_matching_byte_fraction_is_about_1_in_256(small_model):
 def test_unlock_rejects_corrupted_digest(small_model):
     locked = locker.lock_model(small_model, KEY)
     bad = locker.LockedModel(
-        locked.arch, locked.tensor_names, locked.tensor_shapes, locked.blobs,
-        locked.format_version,
+        locked.arch, locked.blob, locked.format_version,
         bytes([locked.digest[0] ^ 1]) + locked.digest[1:],
     )
     with pytest.raises(locker.DigestMismatchError):
@@ -260,3 +268,62 @@ def test_unlocked_view_cannot_be_persisted(small_model):
     view = locker.unlock_model(locker.lock_model(small_model, KEY), KEY)
     with pytest.raises(TypeError):
         locker.write_model(view, io.BytesIO())
+    with pytest.raises(TypeError):
+        locker.write_model(view.copy(), io.BytesIO())
+
+
+# ---------------------------------------------------------------------------
+# Hostile containers: well-formed, valid digest, inconsistent tensor table
+# ---------------------------------------------------------------------------
+
+def build_container(magic: bytes, arch_text: bytes, table, blob: bytes) -> bytes:
+    """Serialize a container from (name, shape, length) entries, digest included."""
+    parts = [magic, struct.pack("<HI", 1, len(arch_text)), arch_text,
+             struct.pack("<I", len(table))]
+    offset = 0
+    for name, shape, length in table:
+        parts += [struct.pack("<I", len(name)), name,
+                  struct.pack(f"<{1 + len(shape)}I", len(shape), *shape),
+                  struct.pack("<QQ", offset, length)]
+        offset += length
+    body = b"".join(parts) + blob
+    return body + hashlib.sha256(body).digest()
+
+
+def swap_dense_shape(arch_text, table, blob):
+    i = [name for name, _, _ in table].index(b"dense1.weight")
+    name, (rows, cols), length = table[i]
+    table[i] = (name, (cols, rows), length)  # same byte count
+    return arch_text, table, blob
+
+
+def rename_tensor(arch_text, table, blob):
+    table[0] = (b"conv9.weight",) + table[0][1:]
+    return arch_text, table, blob
+
+
+def overflowing_shape(arch_text, table, blob):
+    # 65536**4 == 2**64 elements: wraps to 0 in a 64-bit product
+    return b"input 1x10x1\nflatten\n", [(b"huge", (65536,) * 4, 0)], b""
+
+
+def undecodable_arch_text(arch_text, table, blob):
+    return b"\xff" + arch_text[1:], table, blob
+
+
+@pytest.mark.parametrize("mutate", [swap_dense_shape, rename_tensor, overflowing_shape,
+                                    undecodable_arch_text])
+def test_inconsistent_tensor_table_rejected(small_model, mutate):
+    locked = locker.lock_model(small_model, KEY)
+    arch_text = nn.format_architecture(small_model.arch).encode()
+    table = [(t.name.encode(), t.values.shape, 4 * t.values.size) for t in small_model.params]
+    plain = io.BytesIO()
+    locker.write_model(small_model, plain)
+    for magic, blob, honest, read in (
+        (locker.MAGIC_LOCKED, locked.blob, locked_file_bytes(small_model), locker.read_locked),
+        (locker.MAGIC_PLAIN, model_bytes(small_model), plain.getvalue(), locker.read_model),
+    ):
+        assert build_container(magic, arch_text, table, blob) == honest
+        hostile = build_container(magic, *mutate(arch_text, list(table), blob))
+        with pytest.raises(locker.FormatError, match="tensor table|architecture text"):
+            read(hostile)
