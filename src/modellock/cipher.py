@@ -7,9 +7,18 @@ of the master key, and every following 176-byte block is the schedule of the
 previous block's final 16 bytes. The chaining rule is part of the locked-file
 format — both sides must derive identical keystreams from the same key.
 
+The schedule is computed word-wise. The four words w0..w3 of the current
+round key are carried as Python ints across rounds and across chained blocks:
+each round does ``w0 ^= SubWord(RotWord(w3)) ^ rcon`` with one lookup per byte
+into four prebuilt tables, then ``w1 ^= w0; w2 ^= w1; w3 ^= w2``. The final
+round key of a block is the seed of the next, so no bytes round trip is
+needed; all words are packed big-endian once at the end. The output bytes are
+exactly the FIPS-197 Section 5.2 KeyExpansion words w0..w43 of each block.
+
 Locking a byte b with key byte k is ``SBOX[b ^ k]``; unlocking is
-``INV_SBOX[b'] ^ k``. No block cipher is run: only the S-Box and the key
-schedule are used.
+``INV_SBOX[b'] ^ k``. The XOR runs in numpy and the substitution is one
+``bytes.translate`` over the whole buffer. No block cipher is run: only the
+S-Box and the key schedule are used.
 """
 
 from __future__ import annotations
@@ -43,12 +52,15 @@ SBOX = bytes((
 
 INV_SBOX = bytes(SBOX.index(v) for v in range(256))
 
-# Round constants for the key schedule, rcon[i] used when expanding word 4*i.
-_RCON = (0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
+# Round constants of rounds 1..10, already in the top byte of a word.
+_RCON_HI = tuple(r << 24 for r in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36))
 
-# Lookup tables as uint8 arrays for whole-buffer substitution.
-_SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
-_INV_SBOX_NP = np.frombuffer(INV_SBOX, dtype=np.uint8)
+# SubWord(RotWord(w)) maps bytes a|b|c|d to S[b]|S[c]|S[d]|S[a]; each table
+# substitutes one source byte and places it at its destination.
+_TA = tuple(SBOX)  # a = w >> 24 -> lowest byte
+_TB = tuple(s << 24 for s in SBOX)  # b -> top byte
+_TC = tuple(s << 16 for s in SBOX)
+_TD = tuple(s << 8 for s in SBOX)
 
 
 class KeystreamTooShortError(ValueError):
@@ -67,24 +79,6 @@ def check_key(key: bytes) -> bytes:
     return key
 
 
-def _expand_schedule(key: bytes) -> bytes:
-    """One AES-128 key schedule: 16 key bytes -> 176 round-key bytes."""
-    words = list(struct.unpack(">4I", key))
-    for i in range(4, 44):
-        t = words[i - 1]
-        if i % 4 == 0:
-            t = ((t << 8) | (t >> 24)) & 0xFFFFFFFF  # RotWord
-            t = (  # SubWord
-                (SBOX[(t >> 24) & 0xFF] << 24)
-                | (SBOX[(t >> 16) & 0xFF] << 16)
-                | (SBOX[(t >> 8) & 0xFF] << 8)
-                | SBOX[t & 0xFF]
-            )
-            t ^= _RCON[i // 4] << 24
-        words.append(words[i - 4] ^ t)
-    return struct.pack(">44I", *words)
-
-
 def expand_keystream(key: bytes, n_bytes: int) -> bytes:
     """Derive ``n_bytes`` of keystream from a 16-byte master key.
 
@@ -94,40 +88,37 @@ def expand_keystream(key: bytes, n_bytes: int) -> bytes:
     key = check_key(key)
     if n_bytes < 0:
         raise ValueError("n_bytes must be >= 0")
-    if n_bytes == 0:
-        return b""
-    chunks = []
-    produced = 0
-    seed = key
-    while produced < n_bytes:
-        block = _expand_schedule(seed)
-        chunks.append(block)
-        produced += SCHEDULE_LEN
-        seed = block[-KEY_LEN:]
-    return b"".join(chunks)[:n_bytes]
-
-
-def _as_u8(data) -> np.ndarray:
-    return np.frombuffer(bytes(data), dtype=np.uint8)
+    w0, w1, w2, w3 = struct.unpack(">4I", key)
+    words = []
+    for _ in range(-(-n_bytes // SCHEDULE_LEN)):
+        words += (w0, w1, w2, w3)
+        for rcon in _RCON_HI:
+            w0 ^= (_TB[(w3 >> 16) & 0xFF] ^ _TC[(w3 >> 8) & 0xFF] ^ _TD[w3 & 0xFF]
+                   ^ _TA[w3 >> 24] ^ rcon)
+            w1 ^= w0
+            w2 ^= w1
+            w3 ^= w2
+            words += (w0, w1, w2, w3)
+    return struct.pack(f">{len(words)}I", *words)[:n_bytes]
 
 
 def lock_bytes(plain: bytes, keystream: bytes) -> bytes:
     """Lock a byte string: ``out[i] = SBOX[plain[i] ^ keystream[i]]``."""
-    p = _as_u8(plain)
-    ks = _as_u8(keystream)
+    p = np.frombuffer(bytes(plain), dtype=np.uint8)
+    ks = np.frombuffer(bytes(keystream), dtype=np.uint8)
     if ks.size < p.size:
         raise KeystreamTooShortError(
             f"keystream has {ks.size} bytes, need {p.size}"
         )
-    return _SBOX_NP[p ^ ks[: p.size]].tobytes()
+    return (p ^ ks[: p.size]).tobytes().translate(SBOX)
 
 
 def unlock_bytes(locked: bytes, keystream: bytes) -> bytes:
     """Invert :func:`lock_bytes`: ``out[i] = INV_SBOX[locked[i]] ^ keystream[i]``."""
-    c = _as_u8(locked)
-    ks = _as_u8(keystream)
-    if ks.size < c.size:
+    c = bytes(locked)
+    ks = np.frombuffer(bytes(keystream), dtype=np.uint8)
+    if ks.size < len(c):
         raise KeystreamTooShortError(
-            f"keystream has {ks.size} bytes, need {c.size}"
+            f"keystream has {ks.size} bytes, need {len(c)}"
         )
-    return (_INV_SBOX_NP[c] ^ ks[: c.size]).tobytes()
+    return (np.frombuffer(c.translate(INV_SBOX), dtype=np.uint8) ^ ks[: len(c)]).tobytes()

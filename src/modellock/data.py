@@ -15,7 +15,7 @@ from __future__ import annotations
 import gzip
 import struct
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, prod
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def parse_idx(data: bytes) -> np.ndarray:
     if len(data) < header_len:
         raise IdxTruncatedError(f"rank {rank} header needs {header_len} bytes, got {len(data)}")
     dims = struct.unpack(f">{rank}I", data[4:header_len]) if rank else ()
-    count = int(np.prod(dims)) if dims else 1
+    count = prod(dims)
     payload = data[header_len:]
     if len(payload) < count:
         raise IdxTruncatedError(f"declared {count} elements, payload has {len(payload)} bytes")

@@ -37,6 +37,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 _ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore", "under": "ignore"}
 
 
+# Containers store every tensor dimension as a u32.
+MAX_DIM = 0xFFFFFFFF
+
+
 class ArchitectureError(ValueError):
     """Architecture text or layer stack is inconsistent."""
 
@@ -110,6 +114,11 @@ class Architecture:
         shape = tuple(self.input_shape)
         for idx, layer in enumerate(self.layers, start=1):
             shape = self._propagate(idx, layer, shape)
+            if max(shape) > MAX_DIM:
+                raise ArchitectureError(
+                    f"layer {idx} ({type(layer).__name__}): shape {shape} exceeds "
+                    f"the u32 dimension limit {MAX_DIM}"
+                )
             shapes.append(shape)
         if len(shape) != 1:
             raise ArchitectureError(
@@ -153,7 +162,7 @@ class Architecture:
             ow = (w - layer.pool_w) // layer.stride + 1
             return (c, oh, ow)
         if isinstance(layer, Flatten):
-            return (int(np.prod(shape)),)
+            return (math.prod(shape),)
         if isinstance(layer, Dense):
             if len(shape) != 1:
                 raise ArchitectureError(f"{where}: needs flat input, insert flatten")

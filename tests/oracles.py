@@ -4,6 +4,9 @@ Everything here is deliberately written the slow, obvious way (nested loops,
 textbook algebra) and kept free of the package's own layer/cipher code paths.
 """
 
+import functools
+import struct
+
 import numpy as np
 
 
@@ -139,6 +142,7 @@ def _gf_inverse(a):
     raise AssertionError("unreachable: GF(2^8) is a field")
 
 
+@functools.cache
 def derive_aes_sbox():
     """Multiplicative inverse in GF(2^8) followed by the affine transform."""
     table = []
@@ -189,3 +193,41 @@ def aes128_encrypt_block(plaintext, expanded_key, sbox):
             state = mixed
         state = [state[i] ^ round_keys[rnd][i] for i in range(16)]
     return bytes(state)
+
+
+# ---------------------------------------------------------------------------
+# Reference chained keystream (FIPS-197 Section 5.2 KeyExpansion, word by word)
+# ---------------------------------------------------------------------------
+
+_RCON = (0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
+
+
+def _key_expansion(key, sbox):
+    """One AES-128 key schedule: 16 key bytes -> 176 round-key bytes."""
+    words = list(struct.unpack(">4I", key))
+    for i in range(4, 44):
+        t = words[i - 1]
+        if i % 4 == 0:
+            t = ((t << 8) | (t >> 24)) & 0xFFFFFFFF  # RotWord
+            t = (  # SubWord
+                (sbox[(t >> 24) & 0xFF] << 24)
+                | (sbox[(t >> 16) & 0xFF] << 16)
+                | (sbox[(t >> 8) & 0xFF] << 8)
+                | sbox[t & 0xFF]
+            )
+            t ^= _RCON[i // 4] << 24
+        words.append(words[i - 4] ^ t)
+    return struct.pack(">44I", *words)
+
+
+def reference_keystream(key, n):
+    """``n`` keystream bytes: block 0 is the schedule of ``key``, each later
+    block the schedule of the previous block's final 16 bytes."""
+    sbox = derive_aes_sbox()
+    chunks = []
+    seed = key
+    while 176 * len(chunks) < n:
+        block = _key_expansion(seed, sbox)
+        chunks.append(block)
+        seed = block[-16:]
+    return b"".join(chunks)[:n]

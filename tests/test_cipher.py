@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from modellock.cipher import (
     unlock_bytes,
 )
 
-from oracles import aes128_encrypt_block, derive_aes_sbox
+from oracles import aes128_encrypt_block, derive_aes_sbox, reference_keystream
 
 FIPS_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -126,6 +128,21 @@ def test_keystream_determinism(key, n):
     assert expand_keystream(key, n) == expand_keystream(key, n)
 
 
+@given(keys, st.integers(min_value=0, max_value=4000))
+@settings(max_examples=60, deadline=None)
+def test_keystream_matches_reference_key_expansion(key, n):
+    # 4000 bytes cross 22 block boundaries of the chained schedule
+    assert expand_keystream(key, n) == reference_keystream(key, n)
+
+
+@pytest.mark.parametrize("n, sha256", [
+    (344664, "5b3ed7dcd28a8e1a93fe238f403918756fa0f8b91c1e357748e22cac723fd57b"),  # mnist blob
+    (5003432, "f6b2369d9d8b8f693d580353b6aff6c17903662040fe219d575038c02ef3896e"),  # cifar10 blob
+])
+def test_keystream_digest_pinned(n, sha256):
+    assert hashlib.sha256(expand_keystream(FIPS_KEY, n)).hexdigest() == sha256
+
+
 # ---------------------------------------------------------------------------
 # lock_bytes / unlock_bytes
 # ---------------------------------------------------------------------------
@@ -135,6 +152,27 @@ def test_lock_bytes_spot_values():
     assert lock_bytes(b"\x53", b"\x53") == b"\x63"  # 0x53 ^ 0x53 = 0, then S-Box
     assert unlock_bytes(b"\x63", b"\x00") == b"\x00"
     assert unlock_bytes(b"\x63", b"\x53") == b"\x53"
+
+
+def test_sbox_step_exhaustive():
+    # every (byte, key byte) pair in one call each way
+    b = np.repeat(np.arange(256, dtype=np.uint8), 256)
+    k = np.tile(np.arange(256, dtype=np.uint8), 256)
+    sbox = np.frombuffer(SBOX, dtype=np.uint8)
+    inv_sbox = np.frombuffer(INV_SBOX, dtype=np.uint8)
+    locked = lock_bytes(b.tobytes(), k.tobytes())
+    assert locked == sbox[b ^ k].tobytes()
+    assert unlock_bytes(b.tobytes(), k.tobytes()) == (inv_sbox[b] ^ k).tobytes()
+    assert unlock_bytes(locked, k.tobytes()) == b.tobytes()
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_buffer_types_accepted(wrap):
+    data, ks = b"\x00\x53\xff", b"\x00\x53\x01\x02"
+    locked = lock_bytes(wrap(data), wrap(ks))
+    assert type(locked) is bytes and locked == lock_bytes(data, ks)
+    unlocked = unlock_bytes(wrap(locked), wrap(ks))
+    assert type(unlocked) is bytes and unlocked == data
 
 
 def test_empty_payload():

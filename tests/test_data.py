@@ -35,6 +35,12 @@ def test_truncated_payload():
         data.parse_idx(idx_file(0x08, [10], bytes(9)))
 
 
+def test_declared_count_beyond_int64_is_truncated():
+    # 65536**4 == 2**64 elements wrapped to 0 in a 64-bit product
+    with pytest.raises(data.IdxTruncatedError):
+        data.parse_idx(idx_file(0x08, [65536] * 4, b""))
+
+
 def test_oversized_payload():
     with pytest.raises(data.IdxSizeMismatchError):
         data.parse_idx(idx_file(0x08, [2], bytes(5)))

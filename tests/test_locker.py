@@ -307,12 +307,18 @@ def overflowing_shape(arch_text, table, blob):
     return b"input 1x10x1\nflatten\n", [(b"huge", (65536,) * 4, 0)], b""
 
 
+def overflowing_flatten(arch_text, table, blob):
+    # a 2**64-wide flatten wrapped to 0, leaving a (0, 10) dense weight
+    return (b"input 1x4294967296x4294967296\nflatten\ndense 10 linear\n",
+            [(b"dense1.weight", (0, 10), 0), (b"dense1.bias", (10,), 40)], bytes(40))
+
+
 def undecodable_arch_text(arch_text, table, blob):
     return b"\xff" + arch_text[1:], table, blob
 
 
 @pytest.mark.parametrize("mutate", [swap_dense_shape, rename_tensor, overflowing_shape,
-                                    undecodable_arch_text])
+                                    overflowing_flatten, undecodable_arch_text])
 def test_inconsistent_tensor_table_rejected(small_model, mutate):
     locked = locker.lock_model(small_model, KEY)
     arch_text = nn.format_architecture(small_model.arch).encode()

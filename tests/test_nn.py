@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,26 @@ def test_shape_errors():
         nn.Architecture((1, 8, 8), (nn.Conv2D(4, 3, 3),))
     with pytest.raises(nn.ArchitectureError, match="CxHxW"):
         nn.Architecture((1, 8, 8), (nn.Flatten(), nn.Conv2D(4, 3, 3), nn.Flatten()))
+
+
+def test_flatten_width_beyond_u32_rejected():
+    # 2**64 elements wrapped to a 0-wide flatten in a 64-bit product
+    with pytest.raises(nn.ArchitectureError, match="u32"):
+        nn.parse_architecture("input 1x4294967296x4294967296\nflatten\ndense 10 linear\n")
+    widest = nn.parse_architecture("input 1x65535x65537\nflatten\ndense 10 linear\n")
+    assert widest.shapes[1] == (2**32 - 1,)
+
+
+def test_oversized_architecture_rejected_before_allocation():
+    # a 2**32-wide flatten feeding dense 10 would need 160 GiB of weights
+    tracemalloc.start()
+    try:
+        with pytest.raises(nn.ArchitectureError):
+            nn.parse_architecture("input 1x65536x65536\nflatten\ndense 10 linear\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
