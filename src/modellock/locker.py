@@ -27,9 +27,11 @@ File container (all integers little-endian):
 ``DLK1`` blobs hold S-Box-locked bytes; ``DLM1`` blobs hold raw binary32
 values. The digest detects corruption only — it does not authenticate the
 key, and a locked file deliberately cannot reveal whether a key is correct.
-After the digest, readers require the tensor table to equal the names and
-shapes the architecture text implies (``Architecture.param_specs``), with
-4 bytes per element; a table that disagrees is a :class:`FormatError`.
+After the digest, readers require the architecture text to be canonical
+(exactly what ``format_architecture`` writes, which every later digest check
+re-serializes) and the tensor table to equal the names and shapes that text
+implies (``Architecture.param_specs``), with 4 bytes per element; anything
+else is a :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -227,6 +229,8 @@ def _parse_container(data: bytes, expected_magic: bytes):
         arch = parse_architecture(arch_text.decode("utf-8"))
     except (UnicodeDecodeError, ArchitectureError) as exc:
         raise FormatError(f"bad architecture text: {exc}") from exc
+    if arch_text != format_architecture(arch).encode("utf-8"):
+        raise FormatError("architecture text is not in canonical form")
     expected = [(name.encode("utf-8"), shape, 4 * math.prod(shape))
                 for name, shape in arch.param_specs()]
     if table != expected:

@@ -15,9 +15,17 @@ Architectures are described by a small text grammar, one layer per line:
     dense 10 linear
 
 The ``input CxHxW`` header fixes the input shape; the last layer's output
-width is the class count. Blank lines and ``#`` comments are ignored.
+width is the class count. Integers are ASCII decimal. Blank lines and ``#``
+comments are ignored.
 Parameters are stored float32 in the product workflow; the layer math is
 dtype-generic so verification code can run the identical path in float64.
+
+Each layer type is one frozen dataclass under "Layer types" below. It owns
+its grammar (``keyword``, ``usage``, ``parse``, ``text``), its shape rule
+(``out_shape``), its parameter shapes (``param_shapes``, weight then bias)
+and its math (``forward``, and ``backward`` returning its gradients).
+Everything else in this module loops over layers without knowing their
+types, so adding a layer type means adding one class to ``LayerSpec``.
 
 Non-finite weights are deliberately never masked: a model unlocked with a
 wrong key carries NaN/Inf parameters, and their propagation through the
@@ -28,8 +36,9 @@ suppressed locally for that reason.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,6 +48,9 @@ _ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore", "under":
 
 # Containers store every tensor dimension as a u32.
 MAX_DIM = 0xFFFFFFFF
+
+_PADDINGS = ("same", "valid")
+_ACTIVATIONS = ("relu", "linear")
 
 
 class ArchitectureError(ValueError):
@@ -50,7 +62,53 @@ class ModelSpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Layer specs and architecture
+# Grammar and math helpers shared by the layer types
+# ---------------------------------------------------------------------------
+
+def _parse_ints(token: str, n: int, lineno: int) -> tuple[int, ...]:
+    """``n`` ASCII-decimal integers joined by 'x' (``isdigit`` alone admits '²')."""
+    parts = token.split("x")
+    if len(parts) != n or not all(p.isascii() and p.isdigit() for p in parts):
+        expected = "integer" if n == 1 else "x".join(["<int>"] * n)
+        raise ArchitectureError(f"line {lineno}, token {token!r}: expected {expected}")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:  # more digits than the interpreter converts
+        raise ArchitectureError(f"line {lineno}: integer too long") from None
+
+
+def _parse_int(token: str, lineno: int) -> int:
+    return _parse_ints(token, 1, lineno)[0]
+
+
+def _parse_choice(token: str, choices: tuple[str, ...], lineno: int) -> str:
+    if token not in choices:
+        raise ArchitectureError(
+            f"line {lineno}, token {token!r}: expected {' or '.join(map(repr, choices))}"
+        )
+    return token
+
+
+def _expect(tokens: list[str], pos: int, word: str, lineno: int) -> None:
+    if tokens[pos] != word:
+        raise ArchitectureError(f"line {lineno}, token {tokens[pos]!r}: expected {word!r}")
+
+
+def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int]:
+    out = -(-size // stride)  # ceil
+    total = max((out - 1) * stride + kernel - size, 0)
+    return total // 2, total - total // 2
+
+
+def _activate(z, activation: str):
+    """Apply ``activation``; returns (output, ReLU mask for backward or None)."""
+    if activation == "relu":
+        return np.maximum(z, 0), z > 0
+    return z, None
+
+
+# ---------------------------------------------------------------------------
+# Layer types (dtype-generic math; forward returns the cache backward takes)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -62,6 +120,83 @@ class Conv2D:
     padding: str = "valid"  # "same" or "valid"
     activation: str = "relu"  # "relu" or "linear"
 
+    keyword = "conv"
+    usage = "conv <out> <kh>x<kw> stride <s> pad <same|valid> <activation>"
+
+    @classmethod
+    def parse(cls, tokens: list[str], lineno: int) -> "Conv2D":
+        out = _parse_int(tokens[1], lineno)
+        kh, kw = _parse_ints(tokens[2], 2, lineno)
+        _expect(tokens, 3, "stride", lineno)
+        stride = _parse_int(tokens[4], lineno)
+        _expect(tokens, 5, "pad", lineno)
+        pad = _parse_choice(tokens[6], _PADDINGS, lineno)
+        return cls(out, kh, kw, stride, pad, _parse_choice(tokens[7], _ACTIVATIONS, lineno))
+
+    def text(self) -> str:
+        return (f"conv {self.out_channels} {self.kernel_h}x{self.kernel_w} "
+                f"stride {self.stride} pad {self.padding} {self.activation}")
+
+    def _pads(self, h: int, w: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        if self.padding == "same":
+            return (_same_padding(h, self.kernel_h, self.stride),
+                    _same_padding(w, self.kernel_w, self.stride))
+        return (0, 0), (0, 0)
+
+    def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
+        if len(shape) != 3:
+            raise ArchitectureError(f"{where}: needs CxHxW input, got {shape}")
+        _, h, w = shape
+        if self.padding not in _PADDINGS:
+            raise ArchitectureError(f"{where}: bad padding {self.padding!r}")
+        if self.activation not in _ACTIVATIONS:
+            raise ArchitectureError(f"{where}: bad activation {self.activation!r}")
+        if min(self.out_channels, self.kernel_h, self.kernel_w, self.stride) < 1:
+            raise ArchitectureError(f"{where}: sizes must be positive")
+        ph, pw = self._pads(h, w)
+        oh = (h + sum(ph) - self.kernel_h) // self.stride + 1
+        ow = (w + sum(pw) - self.kernel_w) // self.stride + 1
+        if oh < 1 or ow < 1:
+            raise ArchitectureError(f"{where}: kernel larger than input {h}x{w}")
+        return (self.out_channels, oh, ow)
+
+    def param_shapes(self, in_shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return ((self.out_channels, in_shape[0], self.kernel_h, self.kernel_w),
+                (self.out_channels,))
+
+    def forward(self, x, params):
+        w, b = params
+        n, c, h, wd = x.shape
+        kh, kw, s = self.kernel_h, self.kernel_w, self.stride
+        ph, pw = self._pads(h, wd)
+        xp = np.pad(x, ((0, 0), (0, 0), ph, pw)) if ph != (0, 0) or pw != (0, 0) else x
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+        oh, ow = win.shape[2], win.shape[3]
+        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+        out = cols @ w.reshape(w.shape[0], -1).T + b
+        y, mask = _activate(out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2),
+                            self.activation)
+        return y, (cols, xp.shape, x.shape, ph, pw, (n, oh, ow), mask)
+
+    def backward(self, dy, params, cache):
+        w, _ = params
+        cols, xp_shape, x_shape, ph, pw, (n, oh, ow), mask = cache
+        if mask is not None:
+            dy = dy * mask
+        kh, kw, s = self.kernel_h, self.kernel_w, self.stride
+        o = w.shape[0]
+        dout = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
+        dw = (dout.T @ cols).reshape(w.shape)
+        db = dout.sum(axis=0)
+        dcols = dout @ w.reshape(o, -1)
+        dwin = dcols.reshape(n, oh, ow, xp_shape[1], kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        dxp = np.zeros(xp_shape, dtype=dy.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dwin[:, :, :, :, i, j]
+        dx = dxp[:, :, ph[0] : ph[0] + x_shape[2], pw[0] : pw[0] + x_shape[3]]
+        return dx, (dw, db)
+
 
 @dataclass(frozen=True)
 class MaxPool2D:
@@ -69,10 +204,77 @@ class MaxPool2D:
     pool_w: int
     stride: int
 
+    keyword = "maxpool"
+    usage = "maxpool <ph>x<pw> stride <s>"
+
+    @classmethod
+    def parse(cls, tokens: list[str], lineno: int) -> "MaxPool2D":
+        ph, pw = _parse_ints(tokens[1], 2, lineno)
+        _expect(tokens, 2, "stride", lineno)
+        return cls(ph, pw, _parse_int(tokens[3], lineno))
+
+    def text(self) -> str:
+        return f"maxpool {self.pool_h}x{self.pool_w} stride {self.stride}"
+
+    def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
+        if len(shape) != 3:
+            raise ArchitectureError(f"{where}: needs CxHxW input, got {shape}")
+        c, h, w = shape
+        if min(self.pool_h, self.pool_w, self.stride) < 1:
+            raise ArchitectureError(f"{where}: sizes must be positive")
+        if self.pool_h > h or self.pool_w > w:
+            raise ArchitectureError(f"{where}: pool larger than input {h}x{w}")
+        return (c, (h - self.pool_h) // self.stride + 1, (w - self.pool_w) // self.stride + 1)
+
+    def param_shapes(self, in_shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return ()
+
+    def forward(self, x, params):
+        n, c, h, w = x.shape
+        ph, pw, s = self.pool_h, self.pool_w, self.stride
+        win = sliding_window_view(x, (ph, pw), axis=(2, 3))[:, :, ::s, ::s]
+        oh, ow = win.shape[2], win.shape[3]
+        flat = np.ascontiguousarray(win).reshape(n, c, oh, ow, ph * pw)
+        idx = np.argmax(flat, axis=-1)
+        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        return y, (idx, x.shape, (oh, ow))
+
+    def backward(self, dy, params, cache):
+        idx, x_shape, (oh, ow) = cache
+        n, c, h, w = x_shape
+        pw, s = self.pool_w, self.stride
+        dx = np.zeros(x_shape, dtype=dy.dtype)
+        rows = (np.arange(oh) * s)[None, None, :, None] + (idx // pw)
+        colixs = (np.arange(ow) * s)[None, None, None, :] + (idx % pw)
+        ni = np.arange(n)[:, None, None, None]
+        ci = np.arange(c)[None, :, None, None]
+        np.add.at(dx, (ni, ci, rows, colixs), dy)
+        return dx, ()
+
 
 @dataclass(frozen=True)
 class Flatten:
-    pass
+    keyword = "flatten"
+    usage = "flatten"
+
+    @classmethod
+    def parse(cls, tokens: list[str], lineno: int) -> "Flatten":
+        return cls()
+
+    def text(self) -> str:
+        return "flatten"
+
+    def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
+        return (math.prod(shape),)
+
+    def param_shapes(self, in_shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return ()
+
+    def forward(self, x, params):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, dy, params, cache):
+        return dy.reshape(cache), ()
 
 
 @dataclass(frozen=True)
@@ -80,19 +282,50 @@ class Dense:
     out_features: int
     activation: str = "relu"
 
+    keyword = "dense"
+    usage = "dense <out> <activation>"
+
+    @classmethod
+    def parse(cls, tokens: list[str], lineno: int) -> "Dense":
+        out = _parse_int(tokens[1], lineno)
+        return cls(out, _parse_choice(tokens[2], _ACTIVATIONS, lineno))
+
+    def text(self) -> str:
+        return f"dense {self.out_features} {self.activation}"
+
+    def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
+        if len(shape) != 1:
+            raise ArchitectureError(f"{where}: needs flat input, insert flatten")
+        if self.out_features < 1:
+            raise ArchitectureError(f"{where}: out_features must be positive")
+        if self.activation not in _ACTIVATIONS:
+            raise ArchitectureError(f"{where}: bad activation {self.activation!r}")
+        return (self.out_features,)
+
+    def param_shapes(self, in_shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return ((in_shape[0], self.out_features), (self.out_features,))
+
+    def forward(self, x, params):
+        w, b = params
+        y, mask = _activate(x @ w + b, self.activation)
+        return y, (x, mask)
+
+    def backward(self, dy, params, cache):
+        w, _ = params
+        x, mask = cache
+        if mask is not None:
+            dy = dy * mask
+        return dy @ w.T, (x.T @ dy, dy.sum(axis=0))
+
 
 LayerSpec = Union[Conv2D, MaxPool2D, Flatten, Dense]
 
-
-def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int]:
-    out = -(-size // stride)  # ceil
-    total = max((out - 1) * stride + kernel - size, 0)
-    return total // 2, total - total // 2
+_LAYER_TYPES = {cls.keyword: cls for cls in get_args(LayerSpec)}
 
 
-def _conv_out(size: int, kernel: int, stride: int, pad: tuple[int, int]) -> int:
-    return (size + pad[0] + pad[1] - kernel) // stride + 1
-
+# ---------------------------------------------------------------------------
+# Architecture
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Architecture:
@@ -110,86 +343,32 @@ class Architecture:
             raise ArchitectureError(f"bad input shape {self.input_shape}")
         if not self.layers:
             raise ArchitectureError("architecture has no layers")
-        shapes = [tuple(self.input_shape)]
-        shape = tuple(self.input_shape)
+        shapes = [self.input_shape]
         for idx, layer in enumerate(self.layers, start=1):
-            shape = self._propagate(idx, layer, shape)
-            if max(shape) > MAX_DIM:
-                raise ArchitectureError(
-                    f"layer {idx} ({type(layer).__name__}): shape {shape} exceeds "
-                    f"the u32 dimension limit {MAX_DIM}"
-                )
+            where = f"layer {idx} ({type(layer).__name__})"
+            shape = layer.out_shape(shapes[-1], where)
+            # parameter shapes too: a `pad same` kernel is not bounded by the input
+            for dims in (shape, *layer.param_shapes(shapes[-1])):
+                if max(dims) > MAX_DIM:
+                    raise ArchitectureError(
+                        f"{where}: shape {dims} exceeds the u32 dimension limit {MAX_DIM}"
+                    )
             shapes.append(shape)
-        if len(shape) != 1:
+        if len(shapes[-1]) != 1:
             raise ArchitectureError(
-                f"final layer must produce a flat logit vector, got shape {shape}"
+                f"final layer must produce a flat logit vector, got shape {shapes[-1]}"
             )
         object.__setattr__(self, "shapes", tuple(shapes))
-        object.__setattr__(self, "num_classes", shape[0])
-
-    @staticmethod
-    def _propagate(idx: int, layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
-        where = f"layer {idx} ({type(layer).__name__})"
-        if isinstance(layer, Conv2D):
-            if len(shape) != 3:
-                raise ArchitectureError(f"{where}: needs CxHxW input, got {shape}")
-            c, h, w = shape
-            if layer.padding not in ("same", "valid"):
-                raise ArchitectureError(f"{where}: bad padding {layer.padding!r}")
-            if layer.activation not in ("relu", "linear"):
-                raise ArchitectureError(f"{where}: bad activation {layer.activation!r}")
-            if min(layer.out_channels, layer.kernel_h, layer.kernel_w, layer.stride) < 1:
-                raise ArchitectureError(f"{where}: sizes must be positive")
-            if layer.padding == "same":
-                ph = _same_padding(h, layer.kernel_h, layer.stride)
-                pw = _same_padding(w, layer.kernel_w, layer.stride)
-            else:
-                ph = pw = (0, 0)
-            oh = _conv_out(h, layer.kernel_h, layer.stride, ph)
-            ow = _conv_out(w, layer.kernel_w, layer.stride, pw)
-            if oh < 1 or ow < 1:
-                raise ArchitectureError(f"{where}: kernel larger than input {h}x{w}")
-            return (layer.out_channels, oh, ow)
-        if isinstance(layer, MaxPool2D):
-            if len(shape) != 3:
-                raise ArchitectureError(f"{where}: needs CxHxW input, got {shape}")
-            c, h, w = shape
-            if min(layer.pool_h, layer.pool_w, layer.stride) < 1:
-                raise ArchitectureError(f"{where}: sizes must be positive")
-            if layer.pool_h > h or layer.pool_w > w:
-                raise ArchitectureError(f"{where}: pool larger than input {h}x{w}")
-            oh = (h - layer.pool_h) // layer.stride + 1
-            ow = (w - layer.pool_w) // layer.stride + 1
-            return (c, oh, ow)
-        if isinstance(layer, Flatten):
-            return (math.prod(shape),)
-        if isinstance(layer, Dense):
-            if len(shape) != 1:
-                raise ArchitectureError(f"{where}: needs flat input, insert flatten")
-            if layer.out_features < 1:
-                raise ArchitectureError(f"{where}: out_features must be positive")
-            if layer.activation not in ("relu", "linear"):
-                raise ArchitectureError(f"{where}: bad activation {layer.activation!r}")
-            return (layer.out_features,)
-        raise ArchitectureError(f"{where}: unknown layer type")
+        object.__setattr__(self, "num_classes", shapes[-1][0])
 
     def param_specs(self) -> list[tuple[str, tuple[int, ...]]]:
         """Canonical (name, shape) list: layer order, weight before bias."""
         specs = []
-        n_conv = n_dense = 0
-        for i, layer in enumerate(self.layers):
-            in_shape = self.shapes[i]
-            if isinstance(layer, Conv2D):
-                n_conv += 1
-                specs.append((
-                    f"conv{n_conv}.weight",
-                    (layer.out_channels, in_shape[0], layer.kernel_h, layer.kernel_w),
-                ))
-                specs.append((f"conv{n_conv}.bias", (layer.out_channels,)))
-            elif isinstance(layer, Dense):
-                n_dense += 1
-                specs.append((f"dense{n_dense}.weight", (in_shape[0], layer.out_features)))
-                specs.append((f"dense{n_dense}.bias", (layer.out_features,)))
+        counts: Counter[str] = Counter()
+        for layer, in_shape in zip(self.layers, self.shapes):
+            counts[layer.keyword] += 1
+            specs += [(f"{layer.keyword}{counts[layer.keyword]}.{role}", shape)
+                      for role, shape in zip(("weight", "bias"), layer.param_shapes(in_shape))]
         return specs
 
     @property
@@ -200,27 +379,6 @@ class Architecture:
 # ---------------------------------------------------------------------------
 # Architecture text grammar
 # ---------------------------------------------------------------------------
-
-def _parse_dims(token: str, n: int, lineno: int) -> tuple[int, ...]:
-    parts = token.split("x")
-    if len(parts) != n or not all(p.isdigit() for p in parts):
-        raise ArchitectureError(
-            f"line {lineno}, token {token!r}: expected {'x'.join(['<int>'] * n)}"
-        )
-    return tuple(int(p) for p in parts)
-
-
-def _parse_int(token: str, lineno: int) -> int:
-    if not token.isdigit():
-        raise ArchitectureError(f"line {lineno}, token {token!r}: expected integer")
-    return int(token)
-
-
-def _expect(tokens: list[str], pos: int, word: str, lineno: int) -> None:
-    if pos >= len(tokens) or tokens[pos] != word:
-        got = tokens[pos] if pos < len(tokens) else "<end of line>"
-        raise ArchitectureError(f"line {lineno}, token {got!r}: expected {word!r}")
-
 
 def parse_architecture(text: str) -> Architecture:
     """Parse the layer-per-line grammar into a validated Architecture."""
@@ -239,55 +397,14 @@ def parse_architecture(text: str) -> Architecture:
                 raise ArchitectureError(f"line {lineno}: input must come first")
             if len(tokens) != 2:
                 raise ArchitectureError(f"line {lineno}: expected 'input CxHxW'")
-            input_shape = _parse_dims(tokens[1], 3, lineno)
-        elif kind == "conv":
-            if len(tokens) != 8:
-                raise ArchitectureError(
-                    f"line {lineno}: expected 'conv <out> <kh>x<kw> stride <s> pad <same|valid> <activation>'"
-                )
-            out = _parse_int(tokens[1], lineno)
-            kh, kw = _parse_dims(tokens[2], 2, lineno)
-            _expect(tokens, 3, "stride", lineno)
-            stride = _parse_int(tokens[4], lineno)
-            _expect(tokens, 5, "pad", lineno)
-            pad = tokens[6]
-            if pad not in ("same", "valid"):
-                raise ArchitectureError(
-                    f"line {lineno}, token {pad!r}: expected 'same' or 'valid'"
-                )
-            act = tokens[7]
-            if act not in ("relu", "linear"):
-                raise ArchitectureError(
-                    f"line {lineno}, token {act!r}: expected 'relu' or 'linear'"
-                )
-            layers.append(Conv2D(out, kh, kw, stride, pad, act))
-        elif kind == "maxpool":
-            if len(tokens) != 4:
-                raise ArchitectureError(
-                    f"line {lineno}: expected 'maxpool <ph>x<pw> stride <s>'"
-                )
-            ph, pw = _parse_dims(tokens[1], 2, lineno)
-            _expect(tokens, 2, "stride", lineno)
-            stride = _parse_int(tokens[3], lineno)
-            layers.append(MaxPool2D(ph, pw, stride))
-        elif kind == "flatten":
-            if len(tokens) != 1:
-                raise ArchitectureError(f"line {lineno}: flatten takes no arguments")
-            layers.append(Flatten())
-        elif kind == "dense":
-            if len(tokens) != 3:
-                raise ArchitectureError(
-                    f"line {lineno}: expected 'dense <out> <activation>'"
-                )
-            out = _parse_int(tokens[1], lineno)
-            act = tokens[2]
-            if act not in ("relu", "linear"):
-                raise ArchitectureError(
-                    f"line {lineno}, token {act!r}: expected 'relu' or 'linear'"
-                )
-            layers.append(Dense(out, act))
-        else:
+            input_shape = _parse_ints(tokens[1], 3, lineno)
+            continue
+        layer_type = _LAYER_TYPES.get(kind)
+        if layer_type is None:
             raise ArchitectureError(f"line {lineno}, token {kind!r}: unknown layer type")
+        if len(tokens) != len(layer_type.usage.split()):
+            raise ArchitectureError(f"line {lineno}: expected {layer_type.usage!r}")
+        layers.append(layer_type.parse(tokens, lineno))
     if input_shape is None:
         raise ArchitectureError("missing 'input CxHxW' line")
     return Architecture(input_shape, tuple(layers))
@@ -296,18 +413,7 @@ def parse_architecture(text: str) -> Architecture:
 def format_architecture(arch: Architecture) -> str:
     """Canonical text form; parse(format(a)) == a."""
     lines = ["input " + "x".join(str(d) for d in arch.input_shape)]
-    for layer in arch.layers:
-        if isinstance(layer, Conv2D):
-            lines.append(
-                f"conv {layer.out_channels} {layer.kernel_h}x{layer.kernel_w} "
-                f"stride {layer.stride} pad {layer.padding} {layer.activation}"
-            )
-        elif isinstance(layer, MaxPool2D):
-            lines.append(f"maxpool {layer.pool_h}x{layer.pool_w} stride {layer.stride}")
-        elif isinstance(layer, Flatten):
-            lines.append("flatten")
-        else:
-            lines.append(f"dense {layer.out_features} {layer.activation}")
+    lines += [layer.text() for layer in arch.layers]
     return "\n".join(lines) + "\n"
 
 
@@ -389,116 +495,21 @@ def build_model(arch: Architecture, seed: int) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# Layer math (dtype-generic, cache-returning for backprop)
+# Forward pass
 # ---------------------------------------------------------------------------
 
-def _conv_forward(x, w, b, layer: Conv2D):
-    n, c, h, wd = x.shape
-    kh, kw, s = layer.kernel_h, layer.kernel_w, layer.stride
-    if layer.padding == "same":
-        ph = _same_padding(h, kh, s)
-        pw = _same_padding(wd, kw, s)
-    else:
-        ph = pw = (0, 0)
-    xp = np.pad(x, ((0, 0), (0, 0), ph, pw)) if ph != (0, 0) or pw != (0, 0) else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    oh, ow = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
-    out = cols @ w.reshape(w.shape[0], -1).T + b
-    y = out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
-    cache = (cols, xp.shape, x.shape, ph, pw, (n, oh, ow))
-    return y, cache
-
-
-def _conv_backward(dy, w, layer: Conv2D, cache):
-    cols, xp_shape, x_shape, ph, pw, (n, oh, ow) = cache
-    kh, kw, s = layer.kernel_h, layer.kernel_w, layer.stride
-    o = w.shape[0]
-    dout = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
-    dw = (dout.T @ cols).reshape(w.shape)
-    db = dout.sum(axis=0)
-    dcols = dout @ w.reshape(o, -1)
-    dwin = dcols.reshape(n, oh, ow, xp_shape[1], kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros(xp_shape, dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dwin[:, :, :, :, i, j]
-    dx = dxp[:, :, ph[0] : ph[0] + x_shape[2], pw[0] : pw[0] + x_shape[3]]
-    return dx, dw, db
-
-
-def _pool_forward(x, layer: MaxPool2D):
-    n, c, h, w = x.shape
-    ph, pw, s = layer.pool_h, layer.pool_w, layer.stride
-    win = sliding_window_view(x, (ph, pw), axis=(2, 3))[:, :, ::s, ::s]
-    oh, ow = win.shape[2], win.shape[3]
-    flat = np.ascontiguousarray(win).reshape(n, c, oh, ow, ph * pw)
-    idx = np.argmax(flat, axis=-1)
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    cache = (idx, x.shape, (oh, ow))
-    return y, cache
-
-
-def _pool_backward(dy, layer: MaxPool2D, cache):
-    idx, x_shape, (oh, ow) = cache
-    n, c, h, w = x_shape
-    ph, pw, s = layer.pool_h, layer.pool_w, layer.stride
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    rows = (np.arange(oh) * s)[None, None, :, None] + (idx // pw)
-    colixs = (np.arange(ow) * s)[None, None, None, :] + (idx % pw)
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    np.add.at(dx, (ni, ci, rows, colixs), dy)
-    return dx
-
-
-def _dense_forward(x, w, b):
-    return x @ w + b, x
-
-
-def _dense_backward(dy, w, x):
-    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
-
-
-def _relu_forward(z):
-    return np.maximum(z, 0), z > 0
-
-
 def _run_layers(model: Model, x: np.ndarray, keep_caches: bool):
-    """Shared forward pass. Returns (logits, caches or None)."""
+    """Shared forward pass. Returns (logits, per-layer (layer, params, cache) or None)."""
     dtype = model.params[0].values.dtype if model.params else np.float32
     x = np.asarray(x, dtype=dtype)
     caches = [] if keep_caches else None
-    p = 0
+    values = iter([t.values for t in model.params])
     with np.errstate(**_ERRSTATE):
-        for layer in model.arch.layers:
-            if isinstance(layer, Conv2D):
-                w, b = model.params[p].values, model.params[p + 1].values
-                p += 2
-                x, cache = _conv_forward(x, w, b, layer)
-                mask = None
-                if layer.activation == "relu":
-                    x, mask = _relu_forward(x)
-                if keep_caches:
-                    caches.append(("conv", layer, cache, mask))
-            elif isinstance(layer, MaxPool2D):
-                x, cache = _pool_forward(x, layer)
-                if keep_caches:
-                    caches.append(("pool", layer, cache, None))
-            elif isinstance(layer, Flatten):
-                shape = x.shape
-                x = x.reshape(shape[0], -1)
-                if keep_caches:
-                    caches.append(("flatten", layer, shape, None))
-            else:  # Dense
-                w, b = model.params[p].values, model.params[p + 1].values
-                p += 2
-                x, cache = _dense_forward(x, w, b)
-                mask = None
-                if layer.activation == "relu":
-                    x, mask = _relu_forward(x)
-                if keep_caches:
-                    caches.append(("dense", layer, cache, mask))
+        for layer, in_shape in zip(model.arch.layers, model.arch.shapes):
+            params = [next(values) for _ in layer.param_shapes(in_shape)]
+            x, cache = layer.forward(x, params)
+            if keep_caches:
+                caches.append((layer, params, cache))
     return x, caches
 
 
@@ -575,28 +586,11 @@ def loss_and_gradients(model: Model, x: np.ndarray, labels: np.ndarray):
     """
     logits, caches = _run_layers(model, x, keep_caches=True)
     loss, grad = _softmax_xent(logits, np.asarray(labels))
-    grads: list[Optional[np.ndarray]] = [None] * len(model.params)
-    p = len(model.params)
+    grads: list[np.ndarray] = []
     with np.errstate(**_ERRSTATE):
-        for kind, layer, cache, mask in reversed(caches):
-            if kind == "flatten":
-                grad = grad.reshape(cache)
-            elif kind == "pool":
-                grad = _pool_backward(grad, layer, cache)
-            elif kind == "dense":
-                if mask is not None:
-                    grad = grad * mask
-                w = model.params[p - 2].values
-                grad, dw, db = _dense_backward(grad, w, cache)
-                grads[p - 2], grads[p - 1] = dw, db
-                p -= 2
-            else:  # conv
-                if mask is not None:
-                    grad = grad * mask
-                w = model.params[p - 2].values
-                grad, dw, db = _conv_backward(grad, w, layer, cache)
-                grads[p - 2], grads[p - 1] = dw, db
-                p -= 2
+        for layer, params, cache in reversed(caches):
+            grad, layer_grads = layer.backward(grad, params, cache)
+            grads[:0] = layer_grads
     return loss, grads, logits
 
 

@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import io
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modellock import locker, nn
 from modellock.architectures import mnist_arch
@@ -317,8 +320,20 @@ def undecodable_arch_text(arch_text, table, blob):
     return b"\xff" + arch_text[1:], table, blob
 
 
+def superscript_digit(arch_text, table, blob):
+    # '\u00b2'.isdigit() is true, but int() rejects it
+    return arch_text.replace(b"1x10x10", "1x1\u00b2x10".encode()), table, blob
+
+
+def commented_arch_text(arch_text, table, blob):
+    # valid but not canonical: every later digest check would re-serialize
+    # the canonical text and call the intact file corrupt
+    return b"# note\n" + arch_text, table, blob
+
+
 @pytest.mark.parametrize("mutate", [swap_dense_shape, rename_tensor, overflowing_shape,
-                                    overflowing_flatten, undecodable_arch_text])
+                                    overflowing_flatten, undecodable_arch_text,
+                                    superscript_digit, commented_arch_text])
 def test_inconsistent_tensor_table_rejected(small_model, mutate):
     locked = locker.lock_model(small_model, KEY)
     arch_text = nn.format_architecture(small_model.arch).encode()
@@ -333,3 +348,81 @@ def test_inconsistent_tensor_table_rejected(small_model, mutate):
         hostile = build_container(magic, *mutate(arch_text, list(table), blob))
         with pytest.raises(locker.FormatError, match="tensor table|architecture text"):
             read(hostile)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed containers: every rejection is a FormatError, and whatever a reader
+# accepts writes back to the same bytes
+# ---------------------------------------------------------------------------
+
+TINY = """\
+input 1x3x3
+conv 2 2x2 stride 1 pad same relu
+maxpool 2x2 stride 1
+flatten
+dense 3 linear
+"""
+READERS = {locker.MAGIC_LOCKED: (locker.read_locked, locker.write_locked),
+           locker.MAGIC_PLAIN: (locker.read_model, locker.write_model)}
+MAGICS = st.sampled_from(sorted(READERS))
+
+
+@functools.cache
+def tiny_parts(magic: bytes):
+    """(arch text, tensor table, blob) of an honest TINY container."""
+    model = nn.build_model(nn.parse_architecture(TINY), seed=3)
+    blob = (locker.lock_model(model, KEY).blob if magic == locker.MAGIC_LOCKED
+            else model_bytes(model))
+    table = [(t.name.encode(), t.values.shape, 4 * t.values.size) for t in model.params]
+    return TINY.encode(), table, blob
+
+
+def read_back(data: bytes) -> None:
+    for read, write in READERS.values():
+        try:
+            parsed = read(data)
+        except locker.FormatError:
+            continue
+        out = io.BytesIO()
+        write(parsed, out)
+        assert out.getvalue() == data
+
+
+@given(st.sampled_from([b""] + [magic + b"\x01\x00" for magic in sorted(READERS)]),
+       st.binary(max_size=96))
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_bytes_never_crash_with_foreign_errors(prefix, tail):
+    read_back(prefix + tail)
+
+
+@given(MAGICS, st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                                  st.integers(min_value=0), st.integers(0, 255)),
+                        min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_mutated_files_never_crash_with_foreign_errors(magic, edits):
+    body = bytearray(build_container(magic, *tiny_parts(magic))[:-locker.DIGEST_LEN])
+    for op, pos, value in edits:
+        if op == "set":
+            body[pos % len(body)] = value
+        elif op == "insert":
+            body.insert(pos % (len(body) + 1), value)
+        else:
+            del body[pos % len(body)]
+    read_back(bytes(body) + hashlib.sha256(body).digest())
+
+
+ARCH_TOKENS = st.one_of(
+    st.sampled_from(["input", "conv", "maxpool", "flatten", "dense", "stride", "pad",
+                     "same", "valid", "relu", "linear", "#", "\n", ""]),
+    st.text(alphabet="0123456789x\u00b2\u00b3\uff11", min_size=1, max_size=12),
+)
+
+
+@given(MAGICS, st.integers(min_value=0), ARCH_TOKENS)
+@settings(max_examples=150, deadline=None)
+def test_mutated_architecture_text_never_crashes_with_foreign_errors(magic, index, token):
+    arch_text, table, blob = tiny_parts(magic)
+    words = list(re.finditer(rb"\S+", arch_text))
+    word = words[index % len(words)]
+    text = arch_text[:word.start()] + token.encode() + arch_text[word.end():]
+    read_back(build_container(magic, text, table, blob))

@@ -68,6 +68,12 @@ def test_comments_and_blank_lines_ignored():
     ("input 1x4x4\nflatten\ndense 5 sigmoid\n", "'sigmoid'"),
     ("input 1x4x4\nflatten\ndense 5\n", "dense"),
     ("input 1x4x4\nmaxpool 2x2\n", "maxpool"),
+    # str.isdigit() admits these, but int() rejects the first two and reads
+    # the full-width digit as 1: integers are ASCII decimal only
+    ("input 1x\u00b2x4\nflatten\ndense 2 linear\n", "'1x\u00b2x4'"),
+    ("input 1x4x4\nconv 3 3x3 stride \u00b3 pad same relu\n", "'\u00b3'"),
+    ("input 1x4x4\nflatten\ndense \uff11 linear\n", "'\uff11'"),
+    ("input 1x" + "9" * 5000 + "x4\nflatten\ndense 2 linear\n", "line 1"),
 ], ids=lambda v: repr(v)[:34])
 def test_parse_errors_name_line_and_token(text, fragment):
     with pytest.raises(nn.ArchitectureError) as info:
@@ -106,6 +112,21 @@ def test_oversized_architecture_rejected_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_oversized_kernel_rejected_before_allocation():
+    # a `pad same` kernel is not bounded by its input; this weight is 48 GiB
+    text = "input 1x4x4\nconv 3 {}x1 stride 1 pad same relu\nflatten\ndense 2 linear\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(nn.ArchitectureError, match="u32"):
+            nn.parse_architecture(text.format(2**32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    widest = nn.parse_architecture(text.format(2**32 - 1))
+    assert widest.param_specs()[0] == ("conv1.weight", (3, 1, 2**32 - 1, 1))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
