@@ -135,6 +135,25 @@ def _emit(report, args) -> None:
     harness.emit_report(report, args.format, sink)
 
 
+def _train_config(args: argparse.Namespace) -> nn.TrainConfig:
+    try:
+        return nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                              learning_rate=args.lr, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _read_subject(args) -> tuple[nn.Model | locker.LockedModel, bytes | None]:
+    """The plaintext or locked model at ``args.model`` and the key it takes (None if plain)."""
+    kind = _sniff_model_file(_require_file(args.model))
+    key = resolve_key(args, required=(kind == "locked"))
+    if kind == "locked":
+        return locker.read_locked(args.model), key
+    if key is not None:
+        raise UsageError("plaintext models take no key")
+    return locker.read_model(args.model), None
+
+
 def add_report_flags(parser: argparse.ArgumentParser, default_format: str = "text") -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default=default_format,
                         help="report output format")
@@ -146,13 +165,12 @@ def add_report_flags(parser: argparse.ArgumentParser, default_format: str = "tex
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     with open(_require_file(args.arch), "r", encoding="utf-8") as fh:
         arch_text = fh.read()
     arch = nn.parse_architecture(arch_text)
     dataset = load_dataset(args)
     model = nn.build_model(arch, args.seed)
-    cfg = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                         learning_rate=args.lr, seed=args.seed)
     if args.epochs > 0:
         model, history = nn.train(model, dataset, cfg)
     else:
@@ -194,14 +212,9 @@ def cmd_unlock_check(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    kind = _sniff_model_file(_require_file(args.model))
-    key = resolve_key(args, required=(kind == "locked"))
-    if kind == "locked":
-        subject = locker.unlock_model(locker.read_locked(args.model), key)
-    else:
-        if key is not None:
-            raise UsageError("plaintext models take no key")
-        subject = locker.read_model(args.model)
+    subject, key = _read_subject(args)
+    if key is not None:
+        subject = locker.unlock_model(subject, key)
     dataset = load_dataset(args)
     if not 0 <= args.index < len(dataset):
         raise UsageError(f"--index {args.index} out of range for {len(dataset)} samples")
@@ -217,16 +230,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kind = _sniff_model_file(_require_file(args.model))
-    key = resolve_key(args, required=(kind == "locked"))
-    dataset = load_dataset(args)
-    if kind == "locked":
-        subject = locker.read_locked(args.model)
-        report = harness.evaluate(subject, dataset, key=key)
-    else:
-        if key is not None:
-            raise UsageError("plaintext models take no key")
-        report = harness.evaluate(locker.read_model(args.model), dataset)
+    subject, key = _read_subject(args)
+    report = harness.evaluate(subject, load_dataset(args), key=key)
     _emit(report, args)
     return 0
 
@@ -255,12 +260,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    cfg = _train_config(args)
     locked = locker.read_locked(_require_file(args.locked))
     pool = load_dataset(args)
     val = load_val_dataset(args)
     manifest = data.manifest_split(pool, args.fraction, args.manifest_seed)
-    cfg = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                         learning_rate=args.lr, seed=args.seed)
     if args.control:
         if args.key or args.key_file or args.key_env:
             raise UsageError("the control arm takes no key")

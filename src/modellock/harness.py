@@ -5,18 +5,18 @@ accuracy runs unlock the parameters once per evaluation pass and drop them
 afterwards, while latency benchmarking unlocks once per single input
 (that is the measured "query"). Reports record which mode was used.
 
-All experiments take explicit seeds and are bit-reproducible. Reports
-serialize to versioned JSON, a curve-oriented CSV, or plain text via
-:func:`emit_report`; key material never appears in any report.
+All experiments take explicit seeds and are bit-reproducible. A report type
+is one dataclass owning its versioned ``schema``, ``csv_rows()`` and
+``text_lines()``; :func:`emit_report` writes any ``Report`` as JSON, CSV or
+text. Key material never appears in any report.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union, get_args
 
 import numpy as np
 
@@ -30,6 +30,7 @@ Subject = Union[nn.Model, LockedModel]
 
 @dataclass
 class EvalReport:
+    schema: ClassVar[str] = "modellock/eval-report/1"
     accuracy: float
     per_class_correct: list[int]
     per_class_total: list[int]
@@ -39,9 +40,28 @@ class EvalReport:
     unlock_mode: Optional[str]  # "per-pass" for locked subjects, else None
     dataset: str
 
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        return ["accuracy", "nan_prediction_fraction", "sample_count"], [
+            [self.accuracy, self.nan_prediction_fraction, self.sample_count]
+        ]
+
+    def text_lines(self) -> list[str]:
+        return [
+            f"dataset: {self.dataset}",
+            f"subject: {self.subject}"
+            + (f" (unlock {self.unlock_mode})" if self.unlock_mode else ""),
+            f"samples: {self.sample_count}",
+            f"accuracy: {self.accuracy:.4f}",
+            f"nan prediction fraction: {self.nan_prediction_fraction:.4f}",
+            "per-class correct: " + " ".join(
+                f"{c}/{t}" for c, t in zip(self.per_class_correct, self.per_class_total)
+            ),
+        ]
+
 
 @dataclass
 class SweepReport:
+    schema: ClassVar[str] = "modellock/sweep-report/1"
     per_key_accuracy: list[float]
     mean: float
     min: float
@@ -51,9 +71,23 @@ class SweepReport:
     dataset: str
     mean_nan_fraction: float
 
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        return ["key_index", "accuracy"], [
+            [i, acc] for i, acc in enumerate(self.per_key_accuracy)
+        ]
+
+    def text_lines(self) -> list[str]:
+        return [
+            f"dataset: {self.dataset}",
+            f"keys: {self.n_keys} (seed {self.key_seed})",
+            f"accuracy mean: {self.mean:.4f}  min: {self.min:.4f}  max: {self.max:.4f}",
+            f"mean nan prediction fraction: {self.mean_nan_fraction:.4f}",
+        ]
+
 
 @dataclass
 class LatencyReport:
+    schema: ClassVar[str] = "modellock/latency-report/1"
     plain_mean: float
     locked_mean: float
     overhead_ratio: float
@@ -66,16 +100,46 @@ class LatencyReport:
     timer_resolution: float
     param_count: int
 
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        return ["trial", "plain_seconds", "locked_seconds"], [
+            [i, p, l] for i, (p, l) in enumerate(zip(self.plain_times, self.locked_times))
+        ]
+
+    def text_lines(self) -> list[str]:
+        return [
+            f"trials: {self.n_trials} (+{self.warmup_trials} warmup), "
+            f"unlock mode: {self.unlock_mode}",
+            f"parameters: {self.param_count}",
+            f"plain mean:  {self.plain_mean * 1e3:.3f} ms/input",
+            f"locked mean: {self.locked_mean * 1e3:.3f} ms/input",
+            f"overhead ratio: {self.overhead_ratio:.2f}x",
+            f"timer: {self.timer} (resolution {self.timer_resolution:g}s)",
+        ]
+
 
 @dataclass
 class AttackCurve:
+    schema: ClassVar[str] = "modellock/attack-curve/1"
     per_epoch_val_accuracy: list[float]
     final_accuracy: float
     config: dict
     nonfinite_epochs: int
 
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        return ["epoch", "val_accuracy"], [
+            [i, acc] for i, acc in enumerate(self.per_epoch_val_accuracy)
+        ]
+
+    def text_lines(self) -> list[str]:
+        lines = [f"{k}: {v}" for k, v in self.config.items()]
+        lines.append(f"final val accuracy: {self.final_accuracy:.4f}")
+        lines.append(f"epochs with non-finite losses: {self.nonfinite_epochs}")
+        return lines
+
 
 Report = Union[EvalReport, SweepReport, LatencyReport, AttackCurve]
+
+_REPORT_TYPES = {cls.schema: cls for cls in get_args(Report)}
 
 
 def _evaluate_params(model_like, dataset: Dataset, batch_size: int):
@@ -297,83 +361,20 @@ def fine_tune_control(locked: LockedModel, init_seed: int, manifest: Dataset,
 # Report serialization
 # ---------------------------------------------------------------------------
 
-_SCHEMAS = {
-    EvalReport: "modellock/eval-report/1",
-    SweepReport: "modellock/sweep-report/1",
-    LatencyReport: "modellock/latency-report/1",
-    AttackCurve: "modellock/attack-curve/1",
-}
-_SCHEMA_TYPES = {schema: cls for cls, schema in _SCHEMAS.items()}
-
-
 def report_to_dict(report: Report) -> dict:
-    d = {"schema": _SCHEMAS[type(report)]}
-    d.update(asdict(report))
-    return d
+    return {"schema": report.schema, **asdict(report)}
 
 
 def report_from_dict(d: dict) -> Report:
     d = dict(d)
     schema = d.pop("schema", None)
-    cls = _SCHEMA_TYPES.get(schema)
+    cls = _REPORT_TYPES.get(schema) if isinstance(schema, str) else None
     if cls is None:
         raise ValueError(f"unknown report schema {schema!r}")
-    return cls(**d)
-
-
-def _csv_rows(report: Report) -> tuple[list[str], list[list]]:
-    if isinstance(report, AttackCurve):
-        return ["epoch", "val_accuracy"], [
-            [i, acc] for i, acc in enumerate(report.per_epoch_val_accuracy)
-        ]
-    if isinstance(report, SweepReport):
-        return ["key_index", "accuracy"], [
-            [i, acc] for i, acc in enumerate(report.per_key_accuracy)
-        ]
-    if isinstance(report, LatencyReport):
-        return ["trial", "plain_seconds", "locked_seconds"], [
-            [i, p, l] for i, (p, l) in enumerate(zip(report.plain_times, report.locked_times))
-        ]
-    return (
-        ["accuracy", "nan_prediction_fraction", "sample_count"],
-        [[report.accuracy, report.nan_prediction_fraction, report.sample_count]],
-    )
-
-
-def _text_lines(report: Report) -> list[str]:
-    if isinstance(report, EvalReport):
-        return [
-            f"dataset: {report.dataset}",
-            f"subject: {report.subject}"
-            + (f" (unlock {report.unlock_mode})" if report.unlock_mode else ""),
-            f"samples: {report.sample_count}",
-            f"accuracy: {report.accuracy:.4f}",
-            f"nan prediction fraction: {report.nan_prediction_fraction:.4f}",
-            "per-class correct: " + " ".join(
-                f"{c}/{t}" for c, t in zip(report.per_class_correct, report.per_class_total)
-            ),
-        ]
-    if isinstance(report, SweepReport):
-        return [
-            f"dataset: {report.dataset}",
-            f"keys: {report.n_keys} (seed {report.key_seed})",
-            f"accuracy mean: {report.mean:.4f}  min: {report.min:.4f}  max: {report.max:.4f}",
-            f"mean nan prediction fraction: {report.mean_nan_fraction:.4f}",
-        ]
-    if isinstance(report, LatencyReport):
-        return [
-            f"trials: {report.n_trials} (+{report.warmup_trials} warmup), "
-            f"unlock mode: {report.unlock_mode}",
-            f"parameters: {report.param_count}",
-            f"plain mean:  {report.plain_mean * 1e3:.3f} ms/input",
-            f"locked mean: {report.locked_mean * 1e3:.3f} ms/input",
-            f"overhead ratio: {report.overhead_ratio:.2f}x",
-            f"timer: {report.timer} (resolution {report.timer_resolution:g}s)",
-        ]
-    lines = [f"{k}: {v}" for k, v in report.config.items()]
-    lines.append(f"final val accuracy: {report.final_accuracy:.4f}")
-    lines.append(f"epochs with non-finite losses: {report.nonfinite_epochs}")
-    return lines
+    try:
+        return cls(**d)
+    except TypeError as exc:  # a missing or unexpected field, named by exc
+        raise ValueError(f"{schema}: {exc}") from None
 
 
 def emit_report(report: Report, fmt: str, sink) -> None:
@@ -381,14 +382,12 @@ def emit_report(report: Report, fmt: str, sink) -> None:
     if fmt == "json":
         payload = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        header, rows = _csv_rows(report)
-        out = io.StringIO()
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-        payload = out.getvalue()
+        header, rows = report.csv_rows()
+        lines = [header] + [[repr(v) if isinstance(v, float) else str(v) for v in row]
+                            for row in rows]
+        payload = "".join(",".join(line) + "\n" for line in lines)
     elif fmt == "text":
-        payload = "\n".join(_text_lines(report)) + "\n"
+        payload = "\n".join(report.text_lines()) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r} (expected text, json, or csv)")
     if hasattr(sink, "write"):

@@ -36,6 +36,7 @@ suppressed locally for that reason.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union, get_args
@@ -344,16 +345,24 @@ class Architecture:
         if not self.layers:
             raise ArchitectureError("architecture has no layers")
         shapes = [self.input_shape]
+        total = 0
         for idx, layer in enumerate(self.layers, start=1):
             where = f"layer {idx} ({type(layer).__name__})"
             shape = layer.out_shape(shapes[-1], where)
+            param_shapes = layer.param_shapes(shapes[-1])
             # parameter shapes too: a `pad same` kernel is not bounded by the input
-            for dims in (shape, *layer.param_shapes(shapes[-1])):
+            for dims in (shape, *param_shapes):
                 if max(dims) > MAX_DIM:
                     raise ArchitectureError(
                         f"{where}: shape {dims} exceeds the u32 dimension limit {MAX_DIM}"
                     )
+            total += sum(math.prod(dims) for dims in param_shapes)
             shapes.append(shape)
+        # build_model draws in float64 before its cast, and verification runs in float64
+        if 8 * total > sys.maxsize:
+            raise ArchitectureError(
+                f"{total} parameters exceed what one float64 buffer can address"
+            )
         if len(shapes[-1]) != 1:
             raise ArchitectureError(
                 f"final layer must produce a flat logit vector, got shape {shapes[-1]}"
@@ -532,11 +541,8 @@ def predict_class(logits) -> Prediction:
     v = np.asarray(logits)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("logits must be a non-empty 1-D vector")
-    finite = np.isfinite(v)
-    if not finite.any():
-        return Prediction(v, 0, True)
-    masked = np.where(finite, v, -np.inf)
-    return Prediction(v, int(np.argmax(masked)), bool(not finite.all()))
+    classes, flags = predict_classes(v[None])
+    return Prediction(v, int(classes[0]), bool(flags[0]))
 
 
 def predict_classes(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -600,6 +606,14 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 @dataclass

@@ -66,6 +66,24 @@ def test_train_epochs_zero_writes_initialization(workspace, tmp_path):
     assert all((a.values == b.values).all() for a, b in zip(init.params, loaded.params))
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--batch-size", "-1", "batch_size"),
+    ("--batch-size", "0", "batch_size"),
+    ("--epochs", "-1", "epochs"),
+    ("--lr", "nan", "learning_rate"),
+])
+def test_bad_train_config_exits_2(workspace, tmp_path, capsys, flag, value, named):
+    _, arch, _, locked = workspace
+    out = tmp_path / "m.dlm"
+    rc = main(["train", "--arch", str(arch), *SYNTH, "--epochs", "1",
+               "--out", str(out), flag, value])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["attack", str(locked), "--key", WRONG_HEX, *SYNTH, "--epochs", "1",
+                 flag, value]) == 2
+
+
 def test_missing_arch_file_exits_2(capsys):
     rc = main(["train", "--arch", "nope.arch", "--synthetic", "--out", "x.dlm"])
     assert rc == 2

@@ -228,6 +228,253 @@ def all_reports(task):
     ]
 
 
+# Hand-built reports and the exact bytes emit_report writes for each; any
+# change to a schema string, a field, a CSV row or a text line shows here.
+GOLDEN_REPORTS = {
+    "eval_plain": harness.EvalReport(
+        accuracy=0.75, per_class_correct=[2, 1], per_class_total=[2, 2],
+        nan_prediction_fraction=0.0, sample_count=4, subject="plain", unlock_mode=None,
+        dataset="synthetic"),
+    "eval_locked": harness.EvalReport(
+        accuracy=0.1, per_class_correct=[1, 0, 0], per_class_total=[4, 3, 3],
+        nan_prediction_fraction=1.0, sample_count=10, subject="locked",
+        unlock_mode="per-pass", dataset="idx"),
+    "sweep": harness.SweepReport(
+        per_key_accuracy=[0.1, 0.125, 1 / 3], mean=0.18611111111111112, min=0.1, max=1 / 3,
+        key_seed=7, n_keys=3, dataset="synthetic", mean_nan_fraction=0.9),
+    "latency": harness.LatencyReport(
+        plain_mean=0.0005, locked_mean=0.0125, overhead_ratio=25.0, n_trials=2,
+        warmup_trials=1, plain_times=[0.0004, 0.0006], locked_times=[0.012, 0.013],
+        unlock_mode="per-query", timer="time.perf_counter", timer_resolution=1e-09,
+        param_count=1234),
+    "attack": harness.AttackCurve(
+        per_epoch_val_accuracy=[0.1, 0.25], final_accuracy=0.25,
+        config={"arm": "attack", "init_mode": "unlocked", "fraction": 0.1, "epochs": 2,
+                "learning_rate": 0.05},
+        nonfinite_epochs=2),
+    "attack_empty": harness.AttackCurve(
+        per_epoch_val_accuracy=[], final_accuracy=float("nan"),
+        config={"arm": "control", "init_seed": 0, "fraction": None, "epochs": 0},
+        nonfinite_epochs=0),
+}
+
+GOLDEN_BYTES = {
+    'eval_plain': {
+        'json': (
+            '{\n'
+            '  "accuracy": 0.75,\n'
+            '  "dataset": "synthetic",\n'
+            '  "nan_prediction_fraction": 0.0,\n'
+            '  "per_class_correct": [\n'
+            '    2,\n'
+            '    1\n'
+            '  ],\n'
+            '  "per_class_total": [\n'
+            '    2,\n'
+            '    2\n'
+            '  ],\n'
+            '  "sample_count": 4,\n'
+            '  "schema": "modellock/eval-report/1",\n'
+            '  "subject": "plain",\n'
+            '  "unlock_mode": null\n'
+            '}\n'
+        ),
+        'csv': (
+            'accuracy,nan_prediction_fraction,sample_count\n'
+            '0.75,0.0,4\n'
+        ),
+        'text': (
+            'dataset: synthetic\n'
+            'subject: plain\n'
+            'samples: 4\n'
+            'accuracy: 0.7500\n'
+            'nan prediction fraction: 0.0000\n'
+            'per-class correct: 2/2 1/2\n'
+        ),
+    },
+    'eval_locked': {
+        'json': (
+            '{\n'
+            '  "accuracy": 0.1,\n'
+            '  "dataset": "idx",\n'
+            '  "nan_prediction_fraction": 1.0,\n'
+            '  "per_class_correct": [\n'
+            '    1,\n'
+            '    0,\n'
+            '    0\n'
+            '  ],\n'
+            '  "per_class_total": [\n'
+            '    4,\n'
+            '    3,\n'
+            '    3\n'
+            '  ],\n'
+            '  "sample_count": 10,\n'
+            '  "schema": "modellock/eval-report/1",\n'
+            '  "subject": "locked",\n'
+            '  "unlock_mode": "per-pass"\n'
+            '}\n'
+        ),
+        'csv': (
+            'accuracy,nan_prediction_fraction,sample_count\n'
+            '0.1,1.0,10\n'
+        ),
+        'text': (
+            'dataset: idx\n'
+            'subject: locked (unlock per-pass)\n'
+            'samples: 10\n'
+            'accuracy: 0.1000\n'
+            'nan prediction fraction: 1.0000\n'
+            'per-class correct: 1/4 0/3 0/3\n'
+        ),
+    },
+    'sweep': {
+        'json': (
+            '{\n'
+            '  "dataset": "synthetic",\n'
+            '  "key_seed": 7,\n'
+            '  "max": 0.3333333333333333,\n'
+            '  "mean": 0.18611111111111112,\n'
+            '  "mean_nan_fraction": 0.9,\n'
+            '  "min": 0.1,\n'
+            '  "n_keys": 3,\n'
+            '  "per_key_accuracy": [\n'
+            '    0.1,\n'
+            '    0.125,\n'
+            '    0.3333333333333333\n'
+            '  ],\n'
+            '  "schema": "modellock/sweep-report/1"\n'
+            '}\n'
+        ),
+        'csv': (
+            'key_index,accuracy\n'
+            '0,0.1\n'
+            '1,0.125\n'
+            '2,0.3333333333333333\n'
+        ),
+        'text': (
+            'dataset: synthetic\n'
+            'keys: 3 (seed 7)\n'
+            'accuracy mean: 0.1861  min: 0.1000  max: 0.3333\n'
+            'mean nan prediction fraction: 0.9000\n'
+        ),
+    },
+    'latency': {
+        'json': (
+            '{\n'
+            '  "locked_mean": 0.0125,\n'
+            '  "locked_times": [\n'
+            '    0.012,\n'
+            '    0.013\n'
+            '  ],\n'
+            '  "n_trials": 2,\n'
+            '  "overhead_ratio": 25.0,\n'
+            '  "param_count": 1234,\n'
+            '  "plain_mean": 0.0005,\n'
+            '  "plain_times": [\n'
+            '    0.0004,\n'
+            '    0.0006\n'
+            '  ],\n'
+            '  "schema": "modellock/latency-report/1",\n'
+            '  "timer": "time.perf_counter",\n'
+            '  "timer_resolution": 1e-09,\n'
+            '  "unlock_mode": "per-query",\n'
+            '  "warmup_trials": 1\n'
+            '}\n'
+        ),
+        'csv': (
+            'trial,plain_seconds,locked_seconds\n'
+            '0,0.0004,0.012\n'
+            '1,0.0006,0.013\n'
+        ),
+        'text': (
+            'trials: 2 (+1 warmup), unlock mode: per-query\n'
+            'parameters: 1234\n'
+            'plain mean:  0.500 ms/input\n'
+            'locked mean: 12.500 ms/input\n'
+            'overhead ratio: 25.00x\n'
+            'timer: time.perf_counter (resolution 1e-09s)\n'
+        ),
+    },
+    'attack': {
+        'json': (
+            '{\n'
+            '  "config": {\n'
+            '    "arm": "attack",\n'
+            '    "epochs": 2,\n'
+            '    "fraction": 0.1,\n'
+            '    "init_mode": "unlocked",\n'
+            '    "learning_rate": 0.05\n'
+            '  },\n'
+            '  "final_accuracy": 0.25,\n'
+            '  "nonfinite_epochs": 2,\n'
+            '  "per_epoch_val_accuracy": [\n'
+            '    0.1,\n'
+            '    0.25\n'
+            '  ],\n'
+            '  "schema": "modellock/attack-curve/1"\n'
+            '}\n'
+        ),
+        'csv': (
+            'epoch,val_accuracy\n'
+            '0,0.1\n'
+            '1,0.25\n'
+        ),
+        'text': (
+            'arm: attack\n'
+            'init_mode: unlocked\n'
+            'fraction: 0.1\n'
+            'epochs: 2\n'
+            'learning_rate: 0.05\n'
+            'final val accuracy: 0.2500\n'
+            'epochs with non-finite losses: 2\n'
+        ),
+    },
+    'attack_empty': {
+        'json': (
+            '{\n'
+            '  "config": {\n'
+            '    "arm": "control",\n'
+            '    "epochs": 0,\n'
+            '    "fraction": null,\n'
+            '    "init_seed": 0\n'
+            '  },\n'
+            '  "final_accuracy": NaN,\n'
+            '  "nonfinite_epochs": 0,\n'
+            '  "per_epoch_val_accuracy": [],\n'
+            '  "schema": "modellock/attack-curve/1"\n'
+            '}\n'
+        ),
+        'csv': 'epoch,val_accuracy\n',
+        'text': (
+            'arm: control\n'
+            'init_seed: 0\n'
+            'fraction: None\n'
+            'epochs: 0\n'
+            'final val accuracy: nan\n'
+            'epochs with non-finite losses: 0\n'
+        ),
+    },
+}
+
+
+def emitted(report, fmt: str) -> str:
+    blob = io.StringIO()
+    harness.emit_report(report, fmt, blob)
+    return blob.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_emitted_bytes_pinned(name, fmt):
+    report = GOLDEN_REPORTS[name]
+    assert emitted(report, fmt) == GOLDEN_BYTES[name][fmt]
+    restored = harness.report_from_dict(harness.report_to_dict(report))
+    assert emitted(restored, fmt) == GOLDEN_BYTES[name][fmt]
+    # JSON sorts the config keys, so only the JSON bytes survive a file round trip
+    parsed = harness.report_from_dict(json.loads(GOLDEN_BYTES[name]["json"]))
+    assert emitted(parsed, "json") == GOLDEN_BYTES[name]["json"]
+
+
 def test_json_round_trip(task):
     for report in all_reports(task):
         blob = io.StringIO()
@@ -281,6 +528,15 @@ def test_emit_to_path(task, tmp_path):
     assert harness.report_from_dict(json.loads(path.read_text())) == report
 
 
-def test_unknown_schema_rejected():
-    with pytest.raises(ValueError):
-        harness.report_from_dict({"schema": "modellock/not-a-thing/9"})
+@pytest.mark.parametrize("d, named", [
+    ({"schema": "modellock/not-a-thing/9"}, "not-a-thing"),
+    ({}, "None"),
+    ({"schema": ["x"]}, r"\['x'\]"),
+    ({"schema": "modellock/eval-report/1", "bogus": 1}, "bogus"),
+    ({"schema": "modellock/sweep-report/1"}, "per_key_accuracy"),
+    ({**harness.report_to_dict(GOLDEN_REPORTS["attack"]), "extra": 0}, "extra"),
+], ids=["unknown-schema", "no-schema", "unhashable-schema", "extra-field",
+        "missing-fields", "extra-field-on-full-report"])
+def test_bad_report_dict_rejected(d, named):
+    with pytest.raises(ValueError, match=named):
+        harness.report_from_dict(d)

@@ -114,6 +114,23 @@ def test_oversized_architecture_rejected_before_allocation():
     assert peak < 1 << 20
 
 
+def test_total_parameter_count_bounded_before_allocation():
+    # each dimension fits a u32, but 1.8e19 float64 values fit no address space
+    tracemalloc.start()
+    try:
+        with pytest.raises(nn.ArchitectureError, match="parameters"):
+            nn.parse_architecture("input 1x65535x65535\nflatten\ndense 4294967295 linear\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the bound is 8 * total <= sys.maxsize: 2**63 - 2**35 bytes pass, 2**63 do not
+    text = "input 1x1x4294967295\nflatten\ndense {} linear\n"
+    assert 8 * nn.parse_architecture(text.format(2**28 - 1)).param_count == 2**63 - 2**35
+    with pytest.raises(nn.ArchitectureError, match="parameters"):
+        nn.parse_architecture(text.format(2**28))
+
+
 def test_oversized_kernel_rejected_before_allocation():
     # a `pad same` kernel is not bounded by its input; this weight is 48 GiB
     text = "input 1x4x4\nconv 3 {}x1 stride 1 pad same relu\nflatten\ndense 2 linear\n"
@@ -384,6 +401,19 @@ def test_train_is_deterministic():
     b, hb = nn.train(nn.build_model(arch, 3), data, cfg)
     assert all((x.values == y.values).all() for x, y in zip(a.params, b.params))
     assert ha == hb
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"epochs": -1}, "epochs"),
+    ({"epochs": 1, "batch_size": 0}, "batch_size"),
+    ({"epochs": 1, "batch_size": -1}, "batch_size"),
+    ({"epochs": 1, "learning_rate": float("nan")}, "learning_rate"),
+    ({"epochs": 1, "learning_rate": float("inf")}, "learning_rate"),
+])
+def test_train_config_rejects_bad_values(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        nn.TrainConfig(**kwargs)
+    nn.TrainConfig(epochs=0, batch_size=1, learning_rate=-0.0)  # the edges are legal
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
