@@ -366,6 +366,8 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_from_dict(d: dict) -> Report:
+    if not isinstance(d, dict):
+        raise ValueError(f"a report must be a JSON object, got {type(d).__name__}")
     d = dict(d)
     schema = d.pop("schema", None)
     cls = _REPORT_TYPES.get(schema) if isinstance(schema, str) else None

@@ -31,7 +31,8 @@ After the digest, readers require the architecture text to be canonical
 (exactly what ``format_architecture`` writes, which every later digest check
 re-serializes) and the tensor table to equal the names and shapes that text
 implies (``Architecture.param_specs``), with 4 bytes per element; anything
-else is a :class:`FormatError`.
+else is a :class:`FormatError`. A tensor count or a rank larger than the bytes
+left could hold is a :class:`TruncatedFileError` before the table is built.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ MAGIC_LOCKED = b"DLK1"
 MAGIC_PLAIN = b"DLM1"
 FORMAT_VERSION = 1
 DIGEST_LEN = 32
+# name_len u32, rank u32, offset u64, length u64: a tensor entry's bytes at rank 0
+_MIN_ENTRY_LEN = 24
 
 
 class FormatError(ValueError):
@@ -186,6 +189,13 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def reserve(self, n: int, what: str) -> None:
+        """Fail before ``what`` is built when fewer than its ``n`` bytes are left."""
+        if self.pos + n > len(self.data):
+            raise TruncatedFileError(
+                f"{what} needs at least {n} bytes, {len(self.data) - self.pos} are left"
+            )
+
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
 
@@ -209,9 +219,13 @@ def _parse_container(data: bytes, expected_magic: bytes):
     arch_text = r.take(r.u32())
     table = []
     blob_len = 0
-    for _ in range(r.u32()):
+    count = r.u32()
+    r.reserve(_MIN_ENTRY_LEN * count, f"a table of {count} tensors")
+    for _ in range(count):
         name = r.take(r.u32())
-        shape = tuple(r.u32() for _ in range(r.u32()))
+        rank = r.u32()
+        r.reserve(4 * rank, f"a rank-{rank} shape")
+        shape = tuple(r.u32() for _ in range(rank))
         offset = r.u64()
         length = r.u64()
         if offset != blob_len:

@@ -26,6 +26,10 @@ its grammar (``keyword``, ``usage``, ``parse``, ``text``), its shape rule
 and its math (``forward``, and ``backward`` returning its gradients).
 Everything else in this module loops over layers without knowing their
 types, so adding a layer type means adding one class to ``LayerSpec``.
+Conv2D and MaxPool2D share their window math through ``_window_offsets``, one
+strided view per window offset: im2col and col2im copy and sum those views,
+and pooling folds them. Results equal the argmax/``np.add.at`` formulation
+bit for bit, NaN payloads and signed zeros included.
 
 Non-finite weights are deliberately never masked: a model unlocked with a
 wrong key carries NaN/Inf parameters, and their propagation through the
@@ -42,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union, get_args
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore", "under": "ignore"}
 
@@ -99,6 +102,19 @@ def _same_padding(size: int, kernel: int, stride: int) -> tuple[int, int]:
     out = -(-size // stride)  # ceil
     total = max((out - 1) * stride + kernel - size, 0)
     return total // 2, total - total // 2
+
+
+def _window_offsets(kh: int, kw: int, stride: int, oh: int, ow: int) -> list[tuple]:
+    """One index per offset of a strided ``kh x kw`` window, in row-major order.
+
+    Indexing an (N, C, H, W) array with the k-th one gives the (N, C, oh, ow)
+    view of every window's element at offset k. Pooling folds these views and
+    convolution copies them into its column matrix, so no layer builds a 6-D
+    window view.
+    """
+    last_h, last_w = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    return [(..., slice(i, i + last_h, stride), slice(j, j + last_w, stride))
+            for i in range(kh) for j in range(kw)]
 
 
 def _activate(z, activation: str):
@@ -171,9 +187,15 @@ class Conv2D:
         kh, kw, s = self.kernel_h, self.kernel_w, self.stride
         ph, pw = self._pads(h, wd)
         xp = np.pad(x, ((0, 0), (0, 0), ph, pw)) if ph != (0, 0) or pw != (0, 0) else x
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-        oh, ow = win.shape[2], win.shape[3]
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+        oh = (xp.shape[2] - kh) // s + 1
+        ow = (xp.shape[3] - kw) // s + 1
+        # im2col (Chellapilla et al. 2006): one strided copy per window offset
+        # into an (n, oh, ow, c, kh*kw) buffer, which is the C-contiguous
+        # (n*oh*ow, c*kh*kw) column matrix
+        buf = np.empty((n, oh, ow, c, kh * kw), dtype=xp.dtype)
+        for k, win in enumerate(_window_offsets(kh, kw, s, oh, ow)):
+            buf[..., k] = xp[win].transpose(0, 2, 3, 1)
+        cols = buf.reshape(n * oh * ow, c * kh * kw)
         out = cols @ w.reshape(w.shape[0], -1).T + b
         y, mask = _activate(out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2),
                             self.activation)
@@ -190,11 +212,10 @@ class Conv2D:
         dw = (dout.T @ cols).reshape(w.shape)
         db = dout.sum(axis=0)
         dcols = dout @ w.reshape(o, -1)
-        dwin = dcols.reshape(n, oh, ow, xp_shape[1], kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        dwin = dcols.reshape(n, oh, ow, xp_shape[1], kh * kw)
         dxp = np.zeros(xp_shape, dtype=dy.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dwin[:, :, :, :, i, j]
+        for k, win in enumerate(_window_offsets(kh, kw, s, oh, ow)):
+            dxp[win] += dwin[..., k].transpose(0, 3, 1, 2)
         dx = dxp[:, :, ph[0] : ph[0] + x_shape[2], pw[0] : pw[0] + x_shape[3]]
         return dx, (dw, db)
 
@@ -231,25 +252,49 @@ class MaxPool2D:
         return ()
 
     def forward(self, x, params):
-        n, c, h, w = x.shape
+        _, _, h, w = x.shape
         ph, pw, s = self.pool_h, self.pool_w, self.stride
-        win = sliding_window_view(x, (ph, pw), axis=(2, 3))[:, :, ::s, ::s]
-        oh, ow = win.shape[2], win.shape[3]
-        flat = np.ascontiguousarray(win).reshape(n, c, oh, ow, ph * pw)
-        idx = np.argmax(flat, axis=-1)
-        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return y, (idx, x.shape, (oh, ow))
+        oh, ow = (h - ph) // s + 1, (w - pw) // s + 1
+        first, *rest = _window_offsets(ph, pw, s, oh, ow)
+        # Fold the offsets in window order with argmax's rule: a later offset
+        # wins only if it is greater, or NaN where y is not. Ties, -0.0 with
+        # 0.0 included, and later NaNs keep the earlier value (np.maximum may
+        # return either zero of a tie). The blend works on the bits, so it is
+        # exact and has no branches.
+        y = x[first].copy()
+        ybits = y.view(f"u{y.itemsize}")
+        for win in rest:
+            xo = x[win]
+            keep = xo <= y
+            keep |= np.isnan(y)
+            diff = ybits ^ xo.view(ybits.dtype)
+            diff &= np.subtract(keep.view(np.uint8), 1, dtype=ybits.dtype)  # ones where not kept
+            ybits ^= diff
+        return y, (x, y, (oh, ow))
 
     def backward(self, dy, params, cache):
-        idx, x_shape, (oh, ow) = cache
-        n, c, h, w = x_shape
-        pw, s = self.pool_w, self.stride
-        dx = np.zeros(x_shape, dtype=dy.dtype)
-        rows = (np.arange(oh) * s)[None, None, :, None] + (idx // pw)
-        colixs = (np.arange(ow) * s)[None, None, None, :] + (idx % pw)
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (ni, ci, rows, colixs), dy)
+        x, y, (oh, ow) = cache
+        offsets = _window_offsets(self.pool_h, self.pool_w, self.stride, oh, ow)
+        # Each output's gradient goes to the first offset holding y's exact
+        # bits, which is the input argmax picked (the first NaN when y is NaN).
+        ybits = y.view(f"u{y.itemsize}")
+        open_ = np.ones(y.shape, dtype=bool)
+        hits = []
+        for win in offsets:
+            hit = x[win].view(ybits.dtype) == ybits
+            hit &= open_
+            open_ ^= hit
+            hits.append(hit)
+        # Where windows overlap, an input collects several gradients. Sum them
+        # as np.add.at does: in output order (descending offset), a NaN
+        # gradient taking over the sum, so rounding and NaN payloads match.
+        # ``where`` keeps a NaN dy off the positions it does not route to.
+        dy_nan = np.isnan(dy)
+        dx = np.zeros(x.shape, dtype=dy.dtype)
+        for win, hit in zip(reversed(offsets), reversed(hits)):
+            acc = dx[win]
+            acc += np.where(hit, dy, 0)
+            np.copyto(acc, dy, where=hit & dy_nan)
         return dx, ()
 
 

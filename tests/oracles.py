@@ -8,6 +8,7 @@ import functools
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,55 @@ def naive_maxpool2d(x, pool_h, pool_w, stride):
                                xi * stride : xi * stride + pool_w]
                     out[ni, ci, yi, xi] = window.max()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Window-view references: the engine's earlier maxpool and im2col, kept to pin
+# the offset-loop rewrite bit for bit (argmax semantics: first max wins, the
+# first NaN wins, and -0.0 ties 0.0)
+# ---------------------------------------------------------------------------
+
+def reference_maxpool_forward(x, pool_h, pool_w, stride):
+    """Pooled output and the flat in-window argmax of every output."""
+    n, c = x.shape[:2]
+    win = sliding_window_view(x, (pool_h, pool_w), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2], win.shape[3]
+    flat = np.ascontiguousarray(win).reshape(n, c, oh, ow, pool_h * pool_w)
+    idx = np.argmax(flat, axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_maxpool_backward(dy, idx, x_shape, pool_w, stride):
+    """Scatter-add each output's gradient to its argmax input with np.add.at."""
+    n, c, oh, ow = idx.shape
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    rows = (np.arange(oh) * stride)[None, None, :, None] + (idx // pool_w)
+    cols = (np.arange(ow) * stride)[None, None, None, :] + (idx % pool_w)
+    ni = np.arange(n)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    np.add.at(dx, (ni, ci, rows, cols), dy)
+    return dx
+
+
+def reference_im2col(xp, kernel_h, kernel_w, stride):
+    """(n*oh*ow, c*kh*kw) column matrix of an already padded input."""
+    n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (kernel_h, kernel_w), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2], win.shape[3]
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        n * oh * ow, c * kernel_h * kernel_w)
+
+
+def reference_col2im(dcols, xp_shape, kernel_h, kernel_w, stride, oh, ow):
+    """Sum column-matrix gradients back onto the padded input, offset by offset."""
+    n, c = xp_shape[:2]
+    dwin = dcols.reshape(n, oh, ow, c, kernel_h, kernel_w).transpose(0, 3, 1, 2, 4, 5)
+    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += \
+                dwin[:, :, :, :, i, j]
+    return dxp
 
 
 def naive_dense(x, w, b):

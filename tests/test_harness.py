@@ -535,8 +535,10 @@ def test_emit_to_path(task, tmp_path):
     ({"schema": "modellock/eval-report/1", "bogus": 1}, "bogus"),
     ({"schema": "modellock/sweep-report/1"}, "per_key_accuracy"),
     ({**harness.report_to_dict(GOLDEN_REPORTS["attack"]), "extra": 0}, "extra"),
+    ([1, 2], "JSON object, got list"),
+    ("abc", "JSON object, got str"),
 ], ids=["unknown-schema", "no-schema", "unhashable-schema", "extra-field",
-        "missing-fields", "extra-field-on-full-report"])
+        "missing-fields", "extra-field-on-full-report", "list", "string"])
 def test_bad_report_dict_rejected(d, named):
     with pytest.raises(ValueError, match=named):
         harness.report_from_dict(d)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,3 +427,29 @@ def test_mutated_architecture_text_never_crashes_with_foreign_errors(magic, inde
     word = words[index % len(words)]
     text = arch_text[:word.start()] + token.encode() + arch_text[word.end():]
     read_back(build_container(magic, text, table, blob))
+
+
+# ---------------------------------------------------------------------------
+# Table sizes bounded by the bytes left, before anything is built from them
+# ---------------------------------------------------------------------------
+
+U32_MAX = 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("magic", sorted(READERS))
+@pytest.mark.parametrize("count, entry", [
+    (U32_MAX, b""),
+    (1, struct.pack("<I", 4) + b"huge" + struct.pack("<I", U32_MAX)),
+], ids=["u32-max-tensor-count", "u32-max-rank"])
+def test_huge_table_sizes_rejected_before_allocation(magic, count, entry):
+    body = (magic + struct.pack("<HI", 1, len(TINY)) + TINY.encode()
+            + struct.pack("<I", count) + entry + bytes(64))
+    read, _ = READERS[magic]
+    tracemalloc.start()
+    try:
+        with pytest.raises(locker.TruncatedFileError, match="needs at least"):
+            read(body + hashlib.sha256(body).digest())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,10 +1,12 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from modellock import nn
+from modellock import locker, nn
 from modellock.architectures import REFERENCE, reference_arch
+from modellock.data import synthetic_dataset
 
 from oracles import (
     finite_difference_gradients,
@@ -13,6 +15,10 @@ from oracles import (
     naive_dense,
     naive_maxpool2d,
     naive_relu,
+    reference_col2im,
+    reference_im2col,
+    reference_maxpool_backward,
+    reference_maxpool_forward,
 )
 
 CANONICAL = """\
@@ -297,6 +303,105 @@ def test_nonfinite_weights_propagate():
     model.params[0].values[0, 0] = np.nan
     logits = nn.forward_batch(model, np.ones((1, 1, 4, 4), dtype=np.float32))
     assert np.isnan(logits).any()
+
+
+# ---------------------------------------------------------------------------
+# Window math, bit for bit against the earlier window-view code (oracles.py)
+# ---------------------------------------------------------------------------
+
+SPECIALS = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0)
+
+
+def hostile_array(rng, shape, dtype):
+    """Normal draws, half replaced by ties, signed zeros, +-Inf and NaNs of varied payloads."""
+    x = rng.standard_normal(shape).astype(dtype)
+    pick = rng.random(shape) < 0.5
+    x[pick] = rng.choice(np.array(SPECIALS, dtype=dtype), int(pick.sum()))
+    bits = x.view(f"u{x.itemsize}")
+    nan = np.isnan(x)
+    bits[nan] |= rng.integers(0, 1 << 20, int(nan.sum())).astype(bits.dtype)
+    return x
+
+
+POOL_CASES = {  # id: (input shape, pool h, pool w, stride)
+    "2x2-stride-2": ((3, 2, 8, 8), 2, 2, 2),
+    "odd-2x7x7": ((2, 2, 7, 7), 2, 2, 2),
+    "3x3-stride-2-overlapping": ((2, 3, 9, 9), 3, 3, 2),
+    "3x3-stride-1-overlapping": ((2, 3, 8, 9), 3, 3, 1),
+    "2x3-stride-1-overlapping": ((2, 2, 6, 7), 2, 3, 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", POOL_CASES)
+def test_maxpool_matches_reference_bit_for_bit(case, dtype):
+    shape, ph, pw, stride = POOL_CASES[case]
+    layer = nn.MaxPool2D(ph, pw, stride)
+    rng = np.random.default_rng(sum(map(ord, case)))
+    with np.errstate(all="ignore"):
+        for _ in range(10):
+            x = hostile_array(rng, shape, dtype)
+            want_y, idx = reference_maxpool_forward(x, ph, pw, stride)
+            y, cache = layer.forward(x, [])
+            assert y.tobytes() == want_y.tobytes()
+            dy = hostile_array(rng, y.shape, dtype)  # NaN gradients must not leak
+            dx, _ = layer.backward(dy, [], cache)
+            assert dx.tobytes() == reference_maxpool_backward(dy, idx, x.shape, pw, stride).tobytes()
+
+
+CONV_CASES = {  # id: (input shape, layer)
+    "3x3-valid-stride-1": ((2, 3, 7, 8), nn.Conv2D(4, 3, 3, 1, "valid", "linear")),
+    "3x3-same-stride-2": ((2, 3, 7, 8), nn.Conv2D(4, 3, 3, 2, "same", "linear")),
+    "2x3-same-stride-2": ((2, 2, 9, 6), nn.Conv2D(3, 2, 3, 2, "same", "linear")),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_im2col_and_col2im_match_reference_bit_for_bit(case, dtype):
+    shape, layer = CONV_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    x = hostile_array(rng, shape, dtype)
+    w_shape, b_shape = layer.param_shapes(shape[1:])
+    params = [hostile_array(rng, w_shape, dtype), hostile_array(rng, b_shape, dtype)]
+    with np.errstate(all="ignore"):
+        y, cache = layer.forward(x, params)
+        cols, xp_shape, _, ph, pw, (n, oh, ow), _ = cache
+        xp = np.pad(x, ((0, 0), (0, 0), ph, pw))
+        assert cols.tobytes() == reference_im2col(xp, layer.kernel_h, layer.kernel_w,
+                                                  layer.stride).tobytes()
+        dy = hostile_array(rng, y.shape, dtype)
+        dx, _ = layer.backward(dy, params, cache)
+        dout = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, -1)
+        dcols = dout @ params[0].reshape(len(params[1]), -1)
+        want = reference_col2im(dcols, xp_shape, layer.kernel_h, layer.kernel_w,
+                                layer.stride, oh, ow)
+    want = want[:, :, ph[0] : ph[0] + shape[2], pw[0] : pw[0] + shape[3]]
+    assert dx.tobytes() == want.tobytes()
+
+
+# SHA-256 of the logits' bytes, NaN payloads included. Taken from the
+# window-view engine, under numpy's bundled OpenBLAS; a BLAS that orders its
+# sums differently would need new values.
+PINNED_LOGITS = {
+    "plain": "ae058dbe0aaf752442f9122685db85b70b858770c516292b781848814e445c76",
+    "right-key": "ae058dbe0aaf752442f9122685db85b70b858770c516292b781848814e445c76",
+    "wrong-key": "fa5cb4c5e8dde9deb34527d1f69d6f1cde5d7a2b9949fca531eb739744381bbe",
+}
+
+
+def test_mnist_logits_pinned():
+    model = nn.build_model(reference_arch("mnist"), seed=7)
+    batch = synthetic_dataset(per_class=3, seed=11).images
+    locked = locker.lock_model(model, bytes(range(16)))
+    subjects = {
+        "plain": model,
+        "right-key": locker.unlock_model(locked, bytes(range(16))),
+        "wrong-key": locker.unlock_model(locked, bytes(range(1, 17))),
+    }
+    got = {name: hashlib.sha256(nn.forward_batch(m, batch).tobytes()).hexdigest()
+           for name, m in subjects.items()}
+    assert got == PINNED_LOGITS
 
 
 # ---------------------------------------------------------------------------
