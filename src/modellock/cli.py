@@ -266,7 +266,7 @@ def cmd_attack(args) -> int:
     val = load_val_dataset(args)
     manifest = data.manifest_split(pool, args.fraction, args.manifest_seed)
     if args.control:
-        if args.key or args.key_file or args.key_env:
+        if any(flag is not None for flag in (args.key, args.key_file, args.key_env)):
             raise UsageError("the control arm takes no key")
         report = harness.fine_tune_control(
             locked, args.init_seed, manifest, val, cfg, fraction=args.fraction

@@ -131,7 +131,8 @@ class AttackCurve:
         ]
 
     def text_lines(self) -> list[str]:
-        lines = [f"{k}: {v}" for k, v in self.config.items()]
+        # sorted, as the JSON writes them, so a report read back prints the same text
+        lines = [f"{k}: {v}" for k, v in sorted(self.config.items())]
         lines.append(f"final val accuracy: {self.final_accuracy:.4f}")
         lines.append(f"epochs with non-finite losses: {self.nonfinite_epochs}")
         return lines

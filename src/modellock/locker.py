@@ -14,7 +14,7 @@ scheme's behavior, not an error path.
 File container (all integers little-endian):
 
     magic            4 bytes, ``DLK1`` (locked) or ``DLM1`` (plaintext)
-    format_version   u16 (currently 1)
+    format_version   u16 (currently 1; readers refuse any other)
     arch_len         u32, then arch_len bytes of UTF-8 architecture text
                      (canonical grammar from :mod:`modellock.nn`)
     tensor_count     u32
@@ -81,7 +81,6 @@ class DigestMismatchError(FormatError):
 class LockedModel:
     arch: Architecture
     blob: bytes  # locked canonical parameter buffer
-    format_version: int
     digest: bytes
 
     def __post_init__(self):
@@ -95,7 +94,7 @@ class LockedModel:
         return self.arch.param_count
 
     def verify_digest(self) -> None:
-        body = _serialize_body(MAGIC_LOCKED, self.format_version, self.arch, self.blob)
+        body = _serialize_body(MAGIC_LOCKED, self.arch, self.blob)
         if hashlib.sha256(body).digest() != self.digest:
             raise DigestMismatchError("locked model failed its integrity check")
 
@@ -125,8 +124,8 @@ def lock_model(model: Model, key: bytes) -> LockedModel:
     model.validate()
     plain = _params_bytes(model)
     blob = lock_bytes(plain, expand_keystream(key, len(plain)))
-    body = _serialize_body(MAGIC_LOCKED, FORMAT_VERSION, model.arch, blob)
-    return LockedModel(model.arch, blob, FORMAT_VERSION, hashlib.sha256(body).digest())
+    body = _serialize_body(MAGIC_LOCKED, model.arch, blob)
+    return LockedModel(model.arch, blob, hashlib.sha256(body).digest())
 
 
 def unlock_model(locked: LockedModel, key: bytes) -> Model:
@@ -153,10 +152,10 @@ def raw_locked_params(locked: LockedModel) -> list[WeightTensor]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _serialize_body(magic: bytes, version: int, arch: Architecture, blob: bytes) -> bytes:
+def _serialize_body(magic: bytes, arch: Architecture, blob: bytes) -> bytes:
     out = io.BytesIO()
     out.write(magic)
-    out.write(struct.pack("<H", version))
+    out.write(struct.pack("<H", FORMAT_VERSION))
     arch_text = format_architecture(arch).encode("utf-8")
     out.write(struct.pack("<I", len(arch_text)))
     out.write(arch_text)
@@ -249,7 +248,7 @@ def _parse_container(data: bytes, expected_magic: bytes):
                 for name, shape in arch.param_specs()]
     if table != expected:
         raise FormatError("tensor table does not match the architecture")
-    return arch, blob, version, digest
+    return arch, blob, digest
 
 
 def _read_source(source) -> bytes:
@@ -271,7 +270,7 @@ def _write_sink(sink, payload: bytes) -> None:
 
 def write_locked(locked: LockedModel, sink) -> None:
     """Write a ``DLK1`` container; byte-identical for identical inputs."""
-    body = _serialize_body(MAGIC_LOCKED, locked.format_version, locked.arch, locked.blob)
+    body = _serialize_body(MAGIC_LOCKED, locked.arch, locked.blob)
     if hashlib.sha256(body).digest() != locked.digest:
         raise DigestMismatchError("in-memory locked model failed its integrity check")
     _write_sink(sink, body + locked.digest)
@@ -287,11 +286,11 @@ def write_model(model: Model, sink) -> None:
     if model.transient:
         raise TypeError("unlocked models are transient and must not be persisted")
     model.validate()
-    body = _serialize_body(MAGIC_PLAIN, FORMAT_VERSION, model.arch, _params_bytes(model))
+    body = _serialize_body(MAGIC_PLAIN, model.arch, _params_bytes(model))
     _write_sink(sink, body + hashlib.sha256(body).digest())
 
 
 def read_model(source) -> Model:
     """Parse a plaintext ``DLM1`` checkpoint back into a Model."""
-    arch, blob, _, _ = _parse_container(_read_source(source), MAGIC_PLAIN)
+    arch, blob, _ = _parse_container(_read_source(source), MAGIC_PLAIN)
     return Model(arch, _params_from_bytes(arch, blob))

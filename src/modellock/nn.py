@@ -23,7 +23,10 @@ dtype-generic so verification code can run the identical path in float64.
 Each layer type is one frozen dataclass under "Layer types" below. It owns
 its grammar (``keyword``, ``usage``, ``parse``, ``text``), its shape rule
 (``out_shape``), its parameter shapes (``param_shapes``, weight then bias)
-and its math (``forward``, and ``backward`` returning its gradients).
+and its linear or window math (``forward``, and ``backward`` returning its
+gradients). Its ``activation`` only names the rule: the layer loop owns ReLU,
+applying it to each ``relu`` layer's output in ``_run_layers`` and deriving
+the backward mask from that output (``y > 0``) in ``loss_and_gradients``.
 Everything else in this module loops over layers without knowing their
 types, so adding a layer type means adding one class to ``LayerSpec``.
 Conv2D and MaxPool2D share their window math through ``_window_offsets``, one
@@ -117,13 +120,6 @@ def _window_offsets(kh: int, kw: int, stride: int, oh: int, ow: int) -> list[tup
             for i in range(kh) for j in range(kw)]
 
 
-def _activate(z, activation: str):
-    """Apply ``activation``; returns (output, ReLU mask for backward or None)."""
-    if activation == "relu":
-        return np.maximum(z, 0), z > 0
-    return z, None
-
-
 # ---------------------------------------------------------------------------
 # Layer types (dtype-generic math; forward returns the cache backward takes)
 # ---------------------------------------------------------------------------
@@ -197,15 +193,12 @@ class Conv2D:
             buf[..., k] = xp[win].transpose(0, 2, 3, 1)
         cols = buf.reshape(n * oh * ow, c * kh * kw)
         out = cols @ w.reshape(w.shape[0], -1).T + b
-        y, mask = _activate(out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2),
-                            self.activation)
-        return y, (cols, xp.shape, x.shape, ph, pw, (n, oh, ow), mask)
+        return (out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2),
+                (cols, xp.shape, x.shape, ph, pw, (n, oh, ow)))
 
     def backward(self, dy, params, cache):
         w, _ = params
-        cols, xp_shape, x_shape, ph, pw, (n, oh, ow), mask = cache
-        if mask is not None:
-            dy = dy * mask
+        cols, xp_shape, x_shape, ph, pw, (n, oh, ow) = cache
         kh, kw, s = self.kernel_h, self.kernel_w, self.stride
         o = w.shape[0]
         dout = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
@@ -227,6 +220,7 @@ class MaxPool2D:
     stride: int
 
     keyword = "maxpool"
+    activation = "linear"
     usage = "maxpool <ph>x<pw> stride <s>"
 
     @classmethod
@@ -301,6 +295,7 @@ class MaxPool2D:
 @dataclass(frozen=True)
 class Flatten:
     keyword = "flatten"
+    activation = "linear"
     usage = "flatten"
 
     @classmethod
@@ -353,14 +348,10 @@ class Dense:
 
     def forward(self, x, params):
         w, b = params
-        y, mask = _activate(x @ w + b, self.activation)
-        return y, (x, mask)
+        return x @ w + b, x
 
-    def backward(self, dy, params, cache):
+    def backward(self, dy, params, x):
         w, _ = params
-        x, mask = cache
-        if mask is not None:
-            dy = dy * mask
         return dy @ w.T, (x.T @ dy, dy.sum(axis=0))
 
 
@@ -553,7 +544,10 @@ def build_model(arch: Architecture, seed: int) -> Model:
 # ---------------------------------------------------------------------------
 
 def _run_layers(model: Model, x: np.ndarray, keep_caches: bool):
-    """Shared forward pass. Returns (logits, per-layer (layer, params, cache) or None)."""
+    """Shared forward pass; the one place ReLU is applied.
+
+    Returns (logits, per-layer (layer, params, cache, output) or None).
+    """
     dtype = model.params[0].values.dtype if model.params else np.float32
     x = np.asarray(x, dtype=dtype)
     caches = [] if keep_caches else None
@@ -562,8 +556,10 @@ def _run_layers(model: Model, x: np.ndarray, keep_caches: bool):
         for layer, in_shape in zip(model.arch.layers, model.arch.shapes):
             params = [next(values) for _ in layer.param_shapes(in_shape)]
             x, cache = layer.forward(x, params)
+            if layer.activation == "relu":
+                x = np.maximum(x, 0)
             if keep_caches:
-                caches.append((layer, params, cache))
+                caches.append((layer, params, cache, x))
     return x, caches
 
 
@@ -639,7 +635,9 @@ def loss_and_gradients(model: Model, x: np.ndarray, labels: np.ndarray):
     loss, grad = _softmax_xent(logits, np.asarray(labels))
     grads: list[np.ndarray] = []
     with np.errstate(**_ERRSTATE):
-        for layer, params, cache in reversed(caches):
+        for layer, params, cache, y in reversed(caches):
+            if layer.activation == "relu":
+                grad = grad * (y > 0)  # ReLU's mask: y > 0 iff z > 0, NaN included
             grad, layer_grads = layer.backward(grad, params, cache)
             grads[:0] = layer_grads
     return loss, grads, logits

@@ -258,6 +258,13 @@ def test_attack_control_with_key_exits_2(workspace):
                  *SYNTH, "--epochs", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--key", "--key-file", "--key-env"])
+def test_attack_control_with_empty_key_flag_exits_2(workspace, flag):
+    _, _, _, locked = workspace
+    assert main(["attack", str(locked), "--control", flag, "",
+                 *SYNTH, "--epochs", "1"]) == 2
+
+
 def test_attack_reproducible(workspace, tmp_path):
     _, _, _, locked = workspace
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -421,9 +421,9 @@ GOLDEN_BYTES = {
         ),
         'text': (
             'arm: attack\n'
-            'init_mode: unlocked\n'
-            'fraction: 0.1\n'
             'epochs: 2\n'
+            'fraction: 0.1\n'
+            'init_mode: unlocked\n'
             'learning_rate: 0.05\n'
             'final val accuracy: 0.2500\n'
             'epochs with non-finite losses: 2\n'
@@ -447,9 +447,9 @@ GOLDEN_BYTES = {
         'csv': 'epoch,val_accuracy\n',
         'text': (
             'arm: control\n'
-            'init_seed: 0\n'
-            'fraction: None\n'
             'epochs: 0\n'
+            'fraction: None\n'
+            'init_seed: 0\n'
             'final val accuracy: nan\n'
             'epochs with non-finite losses: 0\n'
         ),
@@ -470,9 +470,9 @@ def test_emitted_bytes_pinned(name, fmt):
     assert emitted(report, fmt) == GOLDEN_BYTES[name][fmt]
     restored = harness.report_from_dict(harness.report_to_dict(report))
     assert emitted(restored, fmt) == GOLDEN_BYTES[name][fmt]
-    # JSON sorts the config keys, so only the JSON bytes survive a file round trip
+    # a report read back from its JSON file emits the same bytes in every format
     parsed = harness.report_from_dict(json.loads(GOLDEN_BYTES[name]["json"]))
-    assert emitted(parsed, "json") == GOLDEN_BYTES[name]["json"]
+    assert emitted(parsed, fmt) == GOLDEN_BYTES[name][fmt]
 
 
 def test_json_round_trip(task):

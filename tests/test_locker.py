@@ -79,7 +79,7 @@ def test_blob_lengths_are_4x_element_count(small_model):
     assert len(locked.blob) == 4 * sum(t.values.size for t in small_model.params)
     assert locked.param_count == small_model.param_count
     with pytest.raises(locker.FormatError):
-        locker.LockedModel(locked.arch, locked.blob[:-4], locked.format_version, locked.digest)
+        locker.LockedModel(locked.arch, locked.blob[:-4], locked.digest)
 
 
 def test_mnist_shaped_model_blob_budget():
@@ -148,10 +148,8 @@ def test_wrong_key_matching_byte_fraction_is_about_1_in_256(small_model):
 
 def test_unlock_rejects_corrupted_digest(small_model):
     locked = locker.lock_model(small_model, KEY)
-    bad = locker.LockedModel(
-        locked.arch, locked.blob, locked.format_version,
-        bytes([locked.digest[0] ^ 1]) + locked.digest[1:],
-    )
+    bad = locker.LockedModel(locked.arch, locked.blob,
+                             bytes([locked.digest[0] ^ 1]) + locked.digest[1:])
     with pytest.raises(locker.DigestMismatchError):
         locker.unlock_model(bad, KEY)
 

@@ -366,7 +366,7 @@ def test_conv_im2col_and_col2im_match_reference_bit_for_bit(case, dtype):
     params = [hostile_array(rng, w_shape, dtype), hostile_array(rng, b_shape, dtype)]
     with np.errstate(all="ignore"):
         y, cache = layer.forward(x, params)
-        cols, xp_shape, _, ph, pw, (n, oh, ow), _ = cache
+        cols, xp_shape, _, ph, pw, (n, oh, ow) = cache
         xp = np.pad(x, ((0, 0), (0, 0), ph, pw))
         assert cols.tobytes() == reference_im2col(xp, layer.kernel_h, layer.kernel_w,
                                                   layer.stride).tobytes()
@@ -402,6 +402,46 @@ def test_mnist_logits_pinned():
     got = {name: hashlib.sha256(nn.forward_batch(m, batch).tobytes()).hexdigest()
            for name, m in subjects.items()}
     assert got == PINNED_LOGITS
+
+
+# SHA-256 of each gradient's bytes, in canonical order, NaN payloads and zero
+# signs included. Taken before ReLU moved out of the layer types, under the
+# same BLAS caveat as PINNED_LOGITS.
+PINNED_GRADIENTS = {
+    "plain": [
+        "56a698461f75ca5958a0818b4158ecb3e7d13da98ce73a533fa495cb97e3a1a2",
+        "77d64cdfb2f62923cabc4287c38d09ba60f527ead196f23687ed274543d77a8a",
+        "8b798f9782aee0790774790e1326fd46d93790b31b1473789d901b4412d317da",
+        "a26f7e89af969d61bf5cf392f61dd1cd4aa5e3c80a9b6a7ea3a53efb3ca14676",
+        "9e0f5f1faf7ee01bbc0fc99554f6e7b136b6a2f4edf2cbc6a7751a549c511d5b",
+        "ef77c181afa361d5574a67e153c5d0da4cc5f8306bdcc4219eb77ead86812141",
+        "19b7cf72083162333704bd15bef2a591d2658dc278844cf956204d95f0c570ca",
+        "0932750328d2e7d224e811bd7d48b6214f14d4164a6b4d7310df44fb8bc56d5c",
+    ],
+    "wrong-key": [
+        "30fa8e5ed40bed46e3c1916b86019dca5d880aea9924d4055f1fef3c4ac85692",
+        "083e1c22480025ec9c7e51712fe884f3ea1f8c0b8abeffaa87521306717eb698",
+        "18d89e7412b944a09138d2f1f8ca12ddd57f75ce923b08177d572f9c6c189a51",
+        "e8c638f4d6f35220091e160bad64b7bbcbfb4049b3ff48e02dec199514028e3e",
+        "4486851c55926cb3dfda43beab809375fd0dab799a876d08979e7c27eaa2ae41",
+        "adf97d6672eaa73f3d1604e6a0fcc93068c06fa6eb9e7408bc44aaaba1409d11",
+        "1b879eb621383c21f40b95c53b700bf8b278bad5a50676cfb014ec670811a2ef",
+        "fc622bfaecf43e955eadd91c5ef6439a66e4f200c92c003cc9f779dda120cac2",
+    ],
+}
+
+
+def test_mnist_gradients_pinned():
+    model = nn.build_model(reference_arch("mnist"), seed=7)
+    data = synthetic_dataset(per_class=4, seed=11)
+    pick = np.random.default_rng(5).permutation(len(data.labels))[:32]
+    locked = locker.lock_model(model, bytes(range(16)))
+    subjects = {"plain": model, "wrong-key": locker.unlock_model(locked, bytes(range(1, 17)))}
+    got = {}
+    for name, m in subjects.items():
+        _, grads, _ = nn.loss_and_gradients(m, data.images[pick], data.labels[pick])
+        got[name] = [hashlib.sha256(g.tobytes()).hexdigest() for g in grads]
+    assert got == PINNED_GRADIENTS
 
 
 # ---------------------------------------------------------------------------
