@@ -93,14 +93,19 @@ def _require_file(path: str) -> str:
     return path
 
 
+def _synthetic_dataset(args: argparse.Namespace, per_class: int, seed: int) -> data.Dataset:
+    try:
+        return data.synthetic_dataset(num_classes=args.classes, per_class=per_class,
+                                      image_size=args.image_size, seed=seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def load_dataset(args: argparse.Namespace) -> data.Dataset:
     if args.synthetic == bool(args.images):
         raise UsageError("choose exactly one of --synthetic or --images/--labels")
     if args.synthetic:
-        return data.synthetic_dataset(
-            num_classes=args.classes, per_class=args.per_class,
-            image_size=args.image_size, seed=args.data_seed,
-        )
+        return _synthetic_dataset(args, args.per_class, args.data_seed)
     if not args.labels:
         raise UsageError("--images requires --labels")
     return data.load_idx_dataset(_require_file(args.images), _require_file(args.labels))
@@ -109,10 +114,7 @@ def load_dataset(args: argparse.Namespace) -> data.Dataset:
 def load_val_dataset(args: argparse.Namespace) -> data.Dataset:
     if args.synthetic:
         seed = args.val_seed if args.val_seed is not None else args.data_seed + 1
-        return data.synthetic_dataset(
-            num_classes=args.classes, per_class=args.val_per_class,
-            image_size=args.image_size, seed=seed,
-        )
+        return _synthetic_dataset(args, args.val_per_class, seed)
     if not (args.val_images and args.val_labels):
         raise UsageError("IDX mode requires --val-images and --val-labels")
     return data.load_idx_dataset(
@@ -237,6 +239,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.keys < 1:
+        raise UsageError(f"--keys must be >= 1, got {args.keys}")
     locked = locker.read_locked(_require_file(args.locked))
     true_key = resolve_key(args, required=False)
     dataset = load_dataset(args)
@@ -248,6 +252,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1 or args.warmup < 0:
+        raise UsageError(f"--trials must be >= 1 and --warmup >= 0, "
+                         f"got {args.trials} and {args.warmup}")
     key = resolve_key(args)
     model = locker.read_model(_require_file(args.model))
     locked = locker.read_locked(_require_file(args.locked))
@@ -260,6 +267,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if not 0 < args.fraction <= 1:
+        raise UsageError(f"--fraction must be in (0, 1], got {args.fraction}")
     cfg = _train_config(args)
     locked = locker.read_locked(_require_file(args.locked))
     pool = load_dataset(args)

@@ -60,7 +60,8 @@ class Dataset:
             raise ValueError("images and labels must have the same length")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
-        if len(self.images) and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        # min and max are NaN if any pixel is, and NaN fails both comparisons
+        if len(self.images) and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -128,7 +129,8 @@ def synthetic_dataset(num_classes: int = 10, per_class: int = 100,
                       image_size: int = 28, seed: int = 0) -> Dataset:
     """Seeded, balanced synthetic classification task (see module docstring)."""
     if num_classes < 1 or per_class < 1 or image_size < 2:
-        raise ValueError("num_classes, per_class, and image_size must be positive")
+        raise ValueError(f"num_classes and per_class must be >= 1 and image_size >= 2, "
+                         f"got {num_classes}, {per_class} and {image_size}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float32)
     frequency = 3.0

@@ -255,6 +255,8 @@ def benchmark_latency(model: nn.Model, locked: LockedModel, key: bytes,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     if len(dataset) == 0:
         raise ValueError("cannot benchmark on an empty dataset")
     key = check_key(key)

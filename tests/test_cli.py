@@ -84,6 +84,31 @@ def test_bad_train_config_exits_2(workspace, tmp_path, capsys, flag, value, name
                  flag, value]) == 2
 
 
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("eval", "--classes", "0", "num_classes"),
+    ("eval", "--per-class", "0", "per_class"),
+    ("eval", "--image-size", "1", "image_size"),
+    ("control", "--val-per-class", "0", "per_class"),
+    ("sweep", "--keys", "0", "--keys"),
+    ("bench", "--trials", "0", "--trials"),
+    ("bench", "--warmup", "-1", "--warmup"),
+    ("control", "--fraction", "0", "--fraction"),
+    ("control", "--fraction", "1.5", "--fraction"),
+    ("control", "--fraction", "nan", "--fraction"),
+])
+def test_out_of_range_numeric_flag_exits_2(workspace, capsys, command, flag, value, named):
+    _, _, model, locked = workspace
+    argv = {
+        "eval": ["eval", str(model)],
+        "sweep": ["sweep", str(locked)],
+        "bench": ["bench", "--model", str(model), "--locked", str(locked), "--key", KEY_HEX,
+                  "--trials", "2"],
+        "control": ["attack", str(locked), "--control", "--epochs", "1"],
+    }[command]
+    assert main([*argv, *SYNTH, flag, value]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_missing_arch_file_exits_2(capsys):
     rc = main(["train", "--arch", "nope.arch", "--synthetic", "--out", "x.dlm"])
     assert rc == 2

@@ -211,6 +211,14 @@ def test_manifest_fraction_bounds(balanced, fraction):
         data.manifest_split(balanced, fraction, seed=0)
 
 
+@pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_pixels(pixel):
+    images = np.zeros((2, 1, 4, 4), np.float32)
+    images[1, 0, 2, 3] = pixel
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        data.Dataset("bad", images, np.array([0, 1]), 2)
+
+
 def test_dataset_invariants_enforced():
     with pytest.raises(ValueError):
         data.Dataset("bad", np.zeros((2, 1, 4, 4), np.float32), np.array([0, 5]), 3)

@@ -153,6 +153,8 @@ def test_latency_rejects_bad_trials(task):
     model, locked, _, test_ds = task
     with pytest.raises(ValueError):
         harness.benchmark_latency(model, locked, KEY, test_ds, n_trials=0)
+    with pytest.raises(ValueError, match="warmup"):
+        harness.benchmark_latency(model, locked, KEY, test_ds, n_trials=2, warmup=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +328,11 @@ def hostile_array(rng, shape, dtype):
     return x
 
 
+def channel_last(x):
+    """The same values held in channel-last (N, H, W, C) memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 POOL_CASES = {  # id: (input shape, pool h, pool w, stride)
     "2x2-stride-2": ((3, 2, 8, 8), 2, 2, 2),
     "odd-2x7x7": ((2, 2, 7, 7), 2, 2, 2),
@@ -339,14 +349,17 @@ def test_maxpool_matches_reference_bit_for_bit(case, dtype):
     layer = nn.MaxPool2D(ph, pw, stride)
     rng = np.random.default_rng(sum(map(ord, case)))
     with np.errstate(all="ignore"):
-        for _ in range(10):
+        for draw in range(10):
             x = hostile_array(rng, shape, dtype)
             want_y, idx = reference_maxpool_forward(x, ph, pw, stride)
-            y, cache = layer.forward(x, [])
-            assert y.tobytes() == want_y.tobytes()
-            dy = hostile_array(rng, y.shape, dtype)  # NaN gradients must not leak
-            dx, _ = layer.backward(dy, [], cache)
-            assert dx.tobytes() == reference_maxpool_backward(dy, idx, x.shape, pw, stride).tobytes()
+            dy = hostile_array(rng, want_y.shape, dtype)  # NaN gradients must not leak
+            want_dx = reference_maxpool_backward(dy, idx, x.shape, pw, stride)
+            # each draw again on channel-last memory, with dy in either order
+            for x_in, dy_in in ((x, dy), (channel_last(x), (dy, channel_last(dy))[draw % 2])):
+                y, cache = layer.forward(x_in, [])
+                assert y.tobytes() == want_y.tobytes()
+                dx, _ = layer.backward(dy_in, [], cache, need_dx=True)
+                assert dx.tobytes() == want_dx.tobytes()
 
 
 CONV_CASES = {  # id: (input shape, layer)
@@ -368,29 +381,58 @@ def test_conv_im2col_and_col2im_match_reference_bit_for_bit(case, dtype):
         y, cache = layer.forward(x, params)
         cols, xp_shape, _, ph, pw, (n, oh, ow) = cache
         xp = np.pad(x, ((0, 0), (0, 0), ph, pw))
-        assert cols.tobytes() == reference_im2col(xp, layer.kernel_h, layer.kernel_w,
-                                                  layer.stride).tobytes()
+        want_cols = reference_im2col(xp, layer.kernel_h, layer.kernel_w, layer.stride)
         dy = hostile_array(rng, y.shape, dtype)
-        dx, _ = layer.backward(dy, params, cache)
         dout = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, -1)
         dcols = dout @ params[0].reshape(len(params[1]), -1)
         want = reference_col2im(dcols, xp_shape, layer.kernel_h, layer.kernel_w,
                                 layer.stride, oh, ow)
-    want = want[:, :, ph[0] : ph[0] + shape[2], pw[0] : pw[0] + shape[3]]
-    assert dx.tobytes() == want.tobytes()
+        want = want[:, :, ph[0] : ph[0] + shape[2], pw[0] : pw[0] + shape[3]]
+        # again on channel-last memory, with dy in either order
+        for x_in, dy_in in ((x, dy), (channel_last(x), dy), (channel_last(x), channel_last(dy))):
+            y, cache = layer.forward(x_in, params)
+            assert cache[0].tobytes() == want_cols.tobytes()
+            dx, grads = layer.backward(dy_in, params, cache, need_dx=True)
+            assert dx.tobytes() == want.tobytes()
+            skipped, first_grads = layer.backward(dy_in, params, cache, need_dx=False)
+            assert skipped is None
+            assert [g.tobytes() for g in first_grads] == [g.tobytes() for g in grads]
 
 
-# SHA-256 of the logits' bytes, NaN payloads included. Taken from the
-# window-view engine, under numpy's bundled OpenBLAS; a BLAS that orders its
-# sums differently would need new values.
+def digests_in_child(name: str, threads: int):
+    """JSON result of this module's ``name()`` in a fresh interpreter whose BLAS
+    runs ``threads`` threads (the count must be set before numpy loads)."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = f"import json, test_nn; print(json.dumps(test_nn.{name}()))"
+    run = subprocess.run([sys.executable, "-c", code], cwd=here, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+# SHA-256 of the logits' bytes, NaN payloads included, per BLAS thread count:
+# OpenBLAS splits its sums by thread, so the count changes GEMM bits. The
+# 2-thread values come from the window-view engine, the 1-thread values from
+# the engine before the one memory order; both under numpy's bundled OpenBLAS.
+# A BLAS that orders its sums differently would need new values.
 PINNED_LOGITS = {
-    "plain": "ae058dbe0aaf752442f9122685db85b70b858770c516292b781848814e445c76",
-    "right-key": "ae058dbe0aaf752442f9122685db85b70b858770c516292b781848814e445c76",
-    "wrong-key": "fa5cb4c5e8dde9deb34527d1f69d6f1cde5d7a2b9949fca531eb739744381bbe",
+    1: {
+        "plain": "b48399ff3afeb88cf54f9d8a8f65a7b8f4c3919cba784fdfabb302dd8e33e405",
+        "right-key": "b48399ff3afeb88cf54f9d8a8f65a7b8f4c3919cba784fdfabb302dd8e33e405",
+        "wrong-key": "fa5cb4c5e8dde9deb34527d1f69d6f1cde5d7a2b9949fca531eb739744381bbe",
+    },
+    2: {
+        "plain": "ae058dbe0aaf752442f9122685db85b70b858770c516292b781848814e445c76",
+        "right-key": "ae058dbe0aaf752442f9122685db85b70b858770c516292b781848814e445c76",
+        "wrong-key": "fa5cb4c5e8dde9deb34527d1f69d6f1cde5d7a2b9949fca531eb739744381bbe",
+    },
 }
 
 
-def test_mnist_logits_pinned():
+def mnist_logit_digests():
     model = nn.build_model(reference_arch("mnist"), seed=7)
     batch = synthetic_dataset(per_class=3, seed=11).images
     locked = locker.lock_model(model, bytes(range(16)))
@@ -399,39 +441,68 @@ def test_mnist_logits_pinned():
         "right-key": locker.unlock_model(locked, bytes(range(16))),
         "wrong-key": locker.unlock_model(locked, bytes(range(1, 17))),
     }
-    got = {name: hashlib.sha256(nn.forward_batch(m, batch).tobytes()).hexdigest()
-           for name, m in subjects.items()}
-    assert got == PINNED_LOGITS
+    return {name: hashlib.sha256(nn.forward_batch(m, batch).tobytes()).hexdigest()
+            for name, m in subjects.items()}
+
+
+def test_mnist_logits_pinned():
+    for threads, pinned in PINNED_LOGITS.items():
+        assert digests_in_child("mnist_logit_digests", threads) == pinned, f"{threads} BLAS threads"
 
 
 # SHA-256 of each gradient's bytes, in canonical order, NaN payloads and zero
-# signs included. Taken before ReLU moved out of the layer types, under the
-# same BLAS caveat as PINNED_LOGITS.
+# signs included, per BLAS thread count. The 2-thread values were taken before
+# ReLU moved out of the layer types, the 1-thread values before the one memory
+# order; same BLAS caveat as PINNED_LOGITS.
 PINNED_GRADIENTS = {
-    "plain": [
-        "56a698461f75ca5958a0818b4158ecb3e7d13da98ce73a533fa495cb97e3a1a2",
-        "77d64cdfb2f62923cabc4287c38d09ba60f527ead196f23687ed274543d77a8a",
-        "8b798f9782aee0790774790e1326fd46d93790b31b1473789d901b4412d317da",
-        "a26f7e89af969d61bf5cf392f61dd1cd4aa5e3c80a9b6a7ea3a53efb3ca14676",
-        "9e0f5f1faf7ee01bbc0fc99554f6e7b136b6a2f4edf2cbc6a7751a549c511d5b",
-        "ef77c181afa361d5574a67e153c5d0da4cc5f8306bdcc4219eb77ead86812141",
-        "19b7cf72083162333704bd15bef2a591d2658dc278844cf956204d95f0c570ca",
-        "0932750328d2e7d224e811bd7d48b6214f14d4164a6b4d7310df44fb8bc56d5c",
-    ],
-    "wrong-key": [
-        "30fa8e5ed40bed46e3c1916b86019dca5d880aea9924d4055f1fef3c4ac85692",
-        "083e1c22480025ec9c7e51712fe884f3ea1f8c0b8abeffaa87521306717eb698",
-        "18d89e7412b944a09138d2f1f8ca12ddd57f75ce923b08177d572f9c6c189a51",
-        "e8c638f4d6f35220091e160bad64b7bbcbfb4049b3ff48e02dec199514028e3e",
-        "4486851c55926cb3dfda43beab809375fd0dab799a876d08979e7c27eaa2ae41",
-        "adf97d6672eaa73f3d1604e6a0fcc93068c06fa6eb9e7408bc44aaaba1409d11",
-        "1b879eb621383c21f40b95c53b700bf8b278bad5a50676cfb014ec670811a2ef",
-        "fc622bfaecf43e955eadd91c5ef6439a66e4f200c92c003cc9f779dda120cac2",
-    ],
+    1: {
+        "plain": [
+            "1aa3af6b7495e73d1c32967826ced4104c3c5a3352a0e180d45beb313afc8526",
+            "06e2d36bfe027f452eb342e7e8eb6ef9d86cf3d446c9926f89d0d7af83c39011",
+            "9e56f36202f6000ef78c96d57746301cd16c030aaa4e91f00186c191ad678c67",
+            "6671aec7e57aa2b11e3bc0b55770bcaaa0ab9a25015b8c037e4f803004e98c92",
+            "5cdaf105c05c667f08393ab7d7510aef2a6f71e7b0d2cdfb77fc477f070c691e",
+            "4a985b4f9faf97d75fe80b067face0ed9b206f7f0d15fddb8084a6aad3201237",
+            "e56c5cbb2d9843ba8fb78722e3482e16562bfeb985bf3693f3b3f2243b353716",
+            "99940e0a44bbb660bb5e8459d2b5ec8013d7e879ffb9d5c8b3bfdbcfcabe0109",
+        ],
+        "wrong-key": [
+            "30fa8e5ed40bed46e3c1916b86019dca5d880aea9924d4055f1fef3c4ac85692",
+            "083e1c22480025ec9c7e51712fe884f3ea1f8c0b8abeffaa87521306717eb698",
+            "18d89e7412b944a09138d2f1f8ca12ddd57f75ce923b08177d572f9c6c189a51",
+            "e8c638f4d6f35220091e160bad64b7bbcbfb4049b3ff48e02dec199514028e3e",
+            "8794c7de21c0a698e79712bcb258138a52410d3c827d971fb026c97a9d738807",
+            "adf97d6672eaa73f3d1604e6a0fcc93068c06fa6eb9e7408bc44aaaba1409d11",
+            "1b879eb621383c21f40b95c53b700bf8b278bad5a50676cfb014ec670811a2ef",
+            "fc622bfaecf43e955eadd91c5ef6439a66e4f200c92c003cc9f779dda120cac2",
+        ],
+    },
+    2: {
+        "plain": [
+            "56a698461f75ca5958a0818b4158ecb3e7d13da98ce73a533fa495cb97e3a1a2",
+            "77d64cdfb2f62923cabc4287c38d09ba60f527ead196f23687ed274543d77a8a",
+            "8b798f9782aee0790774790e1326fd46d93790b31b1473789d901b4412d317da",
+            "a26f7e89af969d61bf5cf392f61dd1cd4aa5e3c80a9b6a7ea3a53efb3ca14676",
+            "9e0f5f1faf7ee01bbc0fc99554f6e7b136b6a2f4edf2cbc6a7751a549c511d5b",
+            "ef77c181afa361d5574a67e153c5d0da4cc5f8306bdcc4219eb77ead86812141",
+            "19b7cf72083162333704bd15bef2a591d2658dc278844cf956204d95f0c570ca",
+            "0932750328d2e7d224e811bd7d48b6214f14d4164a6b4d7310df44fb8bc56d5c",
+        ],
+        "wrong-key": [
+            "30fa8e5ed40bed46e3c1916b86019dca5d880aea9924d4055f1fef3c4ac85692",
+            "083e1c22480025ec9c7e51712fe884f3ea1f8c0b8abeffaa87521306717eb698",
+            "18d89e7412b944a09138d2f1f8ca12ddd57f75ce923b08177d572f9c6c189a51",
+            "e8c638f4d6f35220091e160bad64b7bbcbfb4049b3ff48e02dec199514028e3e",
+            "4486851c55926cb3dfda43beab809375fd0dab799a876d08979e7c27eaa2ae41",
+            "adf97d6672eaa73f3d1604e6a0fcc93068c06fa6eb9e7408bc44aaaba1409d11",
+            "1b879eb621383c21f40b95c53b700bf8b278bad5a50676cfb014ec670811a2ef",
+            "fc622bfaecf43e955eadd91c5ef6439a66e4f200c92c003cc9f779dda120cac2",
+        ],
+    },
 }
 
 
-def test_mnist_gradients_pinned():
+def mnist_gradient_digests():
     model = nn.build_model(reference_arch("mnist"), seed=7)
     data = synthetic_dataset(per_class=4, seed=11)
     pick = np.random.default_rng(5).permutation(len(data.labels))[:32]
@@ -441,7 +512,12 @@ def test_mnist_gradients_pinned():
     for name, m in subjects.items():
         _, grads, _ = nn.loss_and_gradients(m, data.images[pick], data.labels[pick])
         got[name] = [hashlib.sha256(g.tobytes()).hexdigest() for g in grads]
-    assert got == PINNED_GRADIENTS
+    return got
+
+
+def test_mnist_gradients_pinned():
+    for threads, pinned in PINNED_GRADIENTS.items():
+        assert digests_in_child("mnist_gradient_digests", threads) == pinned, f"{threads} BLAS threads"
 
 
 # ---------------------------------------------------------------------------
