@@ -5,7 +5,8 @@ accuracy runs unlock the parameters once per evaluation pass and drop them
 afterwards, while latency benchmarking unlocks once per single input
 (that is the measured "query"). Reports record which mode was used.
 
-All experiments take explicit seeds and are bit-reproducible. A report type
+All experiments take explicit seeds and are bit-reproducible under a fixed
+BLAS thread count (``nn``'s GEMM bits depend on it). A report type
 is one dataclass owning its versioned ``schema``, ``csv_rows()`` and
 ``text_lines()``; :func:`emit_report` writes any ``Report`` as JSON, CSV or
 text. Key material never appears in any report.

@@ -3,7 +3,9 @@
 Supports exactly the layer family needed for the locking experiments:
 Conv2D, MaxPool2D, Flatten, Dense, with ReLU or linear activations.
 Everything is plain numpy, single-threaded semantics, and bit-reproducible
-for a fixed (architecture, seed, data, config) tuple.
+for a fixed (architecture, seed, data, config) tuple under a fixed BLAS
+thread count: OpenBLAS splits some GEMM sums by thread, so another count can
+change the last bits.
 
 Architectures are described by a small text grammar, one layer per line:
 
@@ -32,20 +34,22 @@ types, so adding a layer type means adding one class to ``LayerSpec``.
 Conv2D and MaxPool2D share their window math through ``_window_offsets``, one
 strided view per window offset: col2im sums those views and pooling folds
 them. im2col is one ``np.take`` per batch through a memoized index into each
-image's memory (``_im2col_index``). Results equal the argmax/``np.add.at``
-and window-view formulations bit for bit, NaN payloads and signed zeros
-included.
+image's channel-last memory (``_im2col_index``). Results equal the
+argmax/``np.add.at`` and window-view formulations bit for bit, NaN payloads
+and signed zeros included.
 
 Memory order: activations keep logical (N, C, H, W) shapes, but the conv
 stack holds them in the channel-last (N, H, W, C) memory order that the
-im2col GEMM writes. ReLU keeps its input's order, and pooling works on the
-channel-last view, so its output and its input gradient are channel-last
-whatever it is given. The ReLU mask product then multiplies operands of one
-layout, and conv backward reads its ``dy`` channel-last without a copy.
-im2col reads either order, choosing its index by the input's layout. col2im
-alone accumulates channel-first: a channel-last accumulator changed which
-NaN payload wins in overlapping sums. The first layer's backward skips its
-input gradient (``need_dx``), which nothing consumes.
+im2col GEMM writes. Conv pads and gathers in that order too: ``same``
+padding pads the channel-last view, and a ``valid`` conv gathers a conv or
+pool output in place, copying any other input once. ReLU keeps its input's
+order, and pooling works on the channel-last view, so its output and its
+input gradient are channel-last whatever it is given. The ReLU mask product
+then multiplies operands of one layout, and conv backward reads its ``dy``
+channel-last without a copy.
+col2im's accumulator is the one channel-first buffer: a channel-last one
+changed which NaN payload wins in overlapping sums. The first layer's
+backward skips its input gradient (``need_dx``), which nothing consumes.
 
 Non-finite weights are deliberately never masked: a model unlocked with a
 wrong key carries NaN/Inf parameters, and their propagation through the
@@ -135,22 +139,10 @@ def _window_offsets(kh: int, kw: int, stride: int, oh: int, ow: int) -> list[tup
             for i in range(kh) for j in range(kw)]
 
 
-def _image_rows(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(N, C*H*W) rows holding each image's memory, and whether it is channel-last.
-
-    A channel-last (N, H, W, C)-ordered array gives a view; any other layout is
-    copied into channel-first order.
-    """
-    nhwc = x.transpose(0, 2, 3, 1)
-    if nhwc.flags.c_contiguous:
-        return nhwc.reshape(len(x), -1), True
-    return np.ascontiguousarray(x).reshape(len(x), -1), False
-
-
 @functools.lru_cache(maxsize=64)
-def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                  channel_last: bool) -> np.ndarray:
-    """Read-only (oh*ow, c*kh*kw) positions in one image's memory of its column matrix.
+def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Read-only (oh*ow, c*kh*kw) positions in one image's channel-last memory of
+    its column matrix.
 
     Row ``i*ow + j`` lists window (i, j)'s elements channel by channel, each
     channel's ``kh x kw`` patch in row-major order. Memoized: building one for an
@@ -159,10 +151,7 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     r = (np.arange(oh) * stride)[:, None, None, None, None] + np.arange(kh)[:, None]
     q = (np.arange(ow) * stride)[None, :, None, None, None] + np.arange(kw)
-    ch = np.arange(c)[:, None, None]
-    pixel = r * w + q
-    index = pixel * c + ch if channel_last else ch * (h * w) + pixel
-    index = index.reshape(oh * ow, c * kh * kw)
+    index = ((r * w + q) * c + np.arange(c)[:, None, None]).reshape(oh * ow, c * kh * kw)
     index.flags.writeable = False
     return index
 
@@ -229,19 +218,24 @@ class Conv2D:
         n, c, h, wd = x.shape
         kh, kw, s = self.kernel_h, self.kernel_w, self.stride
         ph, pw = self._pads(h, wd)
-        xp = np.pad(x, ((0, 0), (0, 0), ph, pw)) if ph != (0, 0) or pw != (0, 0) else x
-        oh = (xp.shape[2] - kh) // s + 1
-        ow = (xp.shape[3] - kw) // s + 1
+        # Pad the channel-last view, so np.pad writes C-ordered (N, H, W, C)
+        # memory. A conv or pool output is held that way already, so unpadded
+        # it is gathered in place; any other input is copied once.
+        xt = x.transpose(0, 2, 3, 1)
+        if ph != (0, 0) or pw != (0, 0):
+            xt = np.pad(xt, ((0, 0), ph, pw, (0, 0)))
+        _, hp, wp, _ = xt.shape
+        oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
         # im2col (Chellapilla et al. 2006): one gather from each image's memory
         # into the C-contiguous (n*oh*ow, c*kh*kw) column matrix. The index is
         # in range by construction; mode "wrap" skips the range check, which
         # cost a third of the gather at batch 256.
-        rows, channel_last = _image_rows(xp)
-        index = _im2col_index(c, *xp.shape[2:], kh, kw, s, channel_last)
+        rows = np.ascontiguousarray(xt).reshape(n, -1)
+        index = _im2col_index(c, hp, wp, kh, kw, s)
         cols = np.take(rows, index, axis=1, mode="wrap").reshape(n * oh * ow, c * kh * kw)
         out = cols @ w.reshape(w.shape[0], -1).T + b
         return (out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2),
-                (cols, xp.shape, x.shape, ph, pw, (n, oh, ow)))
+                (cols, (n, c, hp, wp), x.shape, ph, pw, (n, oh, ow)))
 
     def backward(self, dy, params, cache, need_dx):
         w, _ = params
@@ -426,6 +420,7 @@ class Architecture:
     layers: tuple[LayerSpec, ...]
     shapes: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     num_classes: int = field(init=False, compare=False)
+    param_count: int = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
@@ -459,6 +454,7 @@ class Architecture:
             )
         object.__setattr__(self, "shapes", tuple(shapes))
         object.__setattr__(self, "num_classes", shapes[-1][0])
+        object.__setattr__(self, "param_count", total)
 
     def param_specs(self) -> list[tuple[str, tuple[int, ...]]]:
         """Canonical (name, shape) list: layer order, weight before bias."""
@@ -469,10 +465,6 @@ class Architecture:
             specs += [(f"{layer.keyword}{counts[layer.keyword]}.{role}", shape)
                       for role, shape in zip(("weight", "bias"), layer.param_shapes(in_shape))]
         return specs
-
-    @property
-    def param_count(self) -> int:
-        return sum(math.prod(shape) for _, shape in self.param_specs())
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +596,10 @@ def _run_layers(model: Model, x: np.ndarray, keep_caches: bool):
     """
     dtype = model.params[0].values.dtype if model.params else np.float32
     x = np.asarray(x, dtype=dtype)
+    if x.ndim != 4 or tuple(x.shape[1:]) != model.arch.input_shape:
+        raise ModelSpecError(
+            f"input shape {tuple(x.shape)} does not match (N, {', '.join(map(str, model.arch.input_shape))})"
+        )
     caches = [] if keep_caches else None
     values = iter([t.values for t in model.params])
     with np.errstate(**_ERRSTATE):
@@ -619,10 +615,6 @@ def _run_layers(model: Model, x: np.ndarray, keep_caches: bool):
 
 def forward_batch(model: Model, x: np.ndarray) -> np.ndarray:
     """Logits for a batch shaped (N, C, H, W). Non-finite values propagate."""
-    if x.ndim != 4 or tuple(x.shape[1:]) != model.arch.input_shape:
-        raise ModelSpecError(
-            f"input shape {tuple(x.shape)} does not match (N, {', '.join(map(str, model.arch.input_shape))})"
-        )
     logits, _ = _run_layers(model, x, keep_caches=False)
     return logits
 

@@ -109,6 +109,21 @@ def test_out_of_range_numeric_flag_exits_2(workspace, capsys, command, flag, val
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "attack"])
+def test_misshapen_images_exit_1(workspace, tmp_path, capsys, command):
+    _, _, _, locked = workspace
+    arch = tmp_path / "mnist.arch"
+    arch.write_text(MNIST)
+    args = {  # 20x20 images for the 28x28 mnist model, 12x12 for the 10x10 tiny one
+        "train": ["train", "--arch", str(arch), "--image-size", "20",
+                  "--out", str(tmp_path / "m.dlm")],
+        "attack": ["attack", str(locked), "--key", WRONG_HEX, "--image-size", "12"],
+    }[command]
+    assert main([*args, "--synthetic", "--per-class", "2", "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "does not match" in err and "matmul" not in err
+
+
 def test_missing_arch_file_exits_2(capsys):
     rc = main(["train", "--arch", "nope.arch", "--synthetic", "--out", "x.dlm"])
     assert rc == 2

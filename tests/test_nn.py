@@ -302,6 +302,19 @@ def test_forward_shape_mismatch():
         nn.forward(model, np.zeros((1, 5, 5), dtype=np.float32))
 
 
+def test_training_refuses_misshapen_batch():
+    # 2x2x4 images hold the 16 values a 1x4x4 flatten expects, so only the
+    # shape check tells them apart
+    arch = nn.parse_architecture("input 1x4x4\nflatten\ndense 2 linear\n")
+    model = nn.build_model(arch, seed=0)
+    images = np.zeros((6, 2, 2, 4), dtype=np.float32)
+    labels = np.zeros(6, dtype=np.int64)
+    with pytest.raises(nn.ModelSpecError, match="does not match"):
+        nn.loss_and_gradients(model, images, labels)
+    with pytest.raises(nn.ModelSpecError, match="does not match"):
+        nn.train(model, ArrayData(images, labels), nn.TrainConfig(epochs=1))
+
+
 def test_nonfinite_weights_propagate():
     arch = nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n")
     model = nn.build_model(arch, seed=0)
@@ -518,6 +531,63 @@ def mnist_gradient_digests():
 def test_mnist_gradients_pinned():
     for threads, pinned in PINNED_GRADIENTS.items():
         assert digests_in_child("mnist_gradient_digests", threads) == pinned, f"{threads} BLAS threads"
+
+
+# A padded multi-channel stack: both convs pad `same` and read three or four
+# channels, which the mnist pins never do. SHA-256 of the logits, then of each
+# gradient in canonical order, taken from the engine that still had a
+# channel-first im2col for padded input. These GEMMs are small enough that one
+# and two BLAS threads give the same bits; same BLAS caveat as PINNED_LOGITS.
+PADDED_STACK = """\
+input 3x10x10
+conv 4 3x3 stride 1 pad same relu
+conv 5 3x3 stride 1 pad same relu
+maxpool 2x2 stride 2
+flatten
+dense 6 linear
+"""
+
+PINNED_PADDED_STACK = {
+    "plain": [
+        "096b54343132d61607c9b0dd25fb20c84bf5101825c5b73b12cb3e317a106bef",
+        "b0b202584fc3160ab7d5e186cf73376982985cefa9675d1d1e6e593af28e0f25",
+        "cdda02f4c73ae1f850cfe79f6d37db15a29f5f26546f4c591385c05a6a6d47fb",
+        "6d10ccc3b1e0abea3c0517fa49a4383cb20fdd1dac29489f68997ed0a7dea58c",
+        "84f787c19e6fff696de436670db6506152f3efd488e5565b1c62d4d610b26826",
+        "7d767e5e29bcaba7ec0c6d4d613d537446c72816edd899dd218810b9910d5825",
+        "ce1091b21b7c2b9f3f4ee95147f5d725e4cad653227807843bbdb099ea7b8a92",
+    ],
+    "wrong-key": [
+        "86174c766fa99a641a2aa97aff1b845cd5631baaf4ad5648527a262e7d890dd5",
+        "b79a1f655dcdad80579317c5a1243c74e67c70e9a2c13176dc152c37b8d04959",
+        "ef99cfd192ee2fe43a68cef2af40c85c2c215759f491c1b3fa09ed0f794f9201",
+        "63d3156177db9d62cf8311b00944562ec79649cb327911c4cc3082a51439264f",
+        "2ffbd5b3c0eac4559ab398e19b11bff746211e3f04fa71abd8b5c4806d3babb9",
+        "38fa09ced6a9227782a21c00a82cfedd759f712cb0d8f6b788b90d347b45f20f",
+        "3fbf182a570eb06706b3baeed428958f3b6b85d6287e297dbc70426f6e116d3e",
+    ],
+}
+
+
+def padded_stack_digests():
+    model = nn.build_model(nn.parse_architecture(PADDED_STACK), seed=3)
+    rng = np.random.default_rng(8)
+    images = rng.standard_normal((12, 3, 10, 10)).astype(np.float32)
+    labels = rng.integers(0, 6, 12)
+    locked = locker.lock_model(model, bytes(range(16)))
+    subjects = {"plain": model, "wrong-key": locker.unlock_model(locked, bytes(range(1, 17)))}
+    got = {}
+    for name, m in subjects.items():
+        _, grads, _ = nn.loss_and_gradients(m, images, labels)
+        got[name] = [hashlib.sha256(a.tobytes()).hexdigest()
+                     for a in (nn.forward_batch(m, images), *grads)]
+    return got
+
+
+def test_padded_stack_pinned():
+    for threads in (1, 2):
+        assert digests_in_child("padded_stack_digests", threads) == PINNED_PADDED_STACK, \
+            f"{threads} BLAS threads"
 
 
 # ---------------------------------------------------------------------------
