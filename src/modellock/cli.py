@@ -173,10 +173,7 @@ def cmd_train(args) -> int:
     arch = nn.parse_architecture(arch_text)
     dataset = load_dataset(args)
     model = nn.build_model(arch, args.seed)
-    if args.epochs > 0:
-        model, history = nn.train(model, dataset, cfg)
-    else:
-        history = []
+    model, history = nn.train(model, dataset, cfg)
     locker.write_model(model, args.out)
     for m in history:
         print(f"epoch {m.epoch}: loss {m.loss:.4f} accuracy {m.accuracy:.4f}"

@@ -180,11 +180,6 @@ def evaluate(subject: Subject, dataset: Dataset, key: Optional[bytes] = None,
     else:
         model_like = subject
         subject_label, unlock_mode = "plain", None
-    if tuple(dataset.input_shape) != model_like.arch.input_shape:
-        raise nn.ModelSpecError(
-            f"dataset shape {dataset.input_shape} does not match model input "
-            f"{model_like.arch.input_shape}"
-        )
     correct, flags, per_class_correct, per_class_total = _evaluate_params(
         model_like, dataset, batch_size
     )

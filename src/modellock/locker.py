@@ -27,12 +27,16 @@ File container (all integers little-endian):
 ``DLK1`` blobs hold S-Box-locked bytes; ``DLM1`` blobs hold raw binary32
 values. The digest detects corruption only — it does not authenticate the
 key, and a locked file deliberately cannot reveal whether a key is correct.
-After the digest, readers require the architecture text to be canonical
+Readers parse only the self-describing prefix (magic, version, architecture
+text), rebuild the header the writer would write for that architecture, and
+require the file to be exactly that header, 4 bytes per parameter and the
+digest; nothing is built from a size the file declares. A file too short for
+its architecture is a :class:`TruncatedFileError`, a failed digest is a
+:class:`DigestMismatchError`, and an intact file that differs is a
+:class:`FormatError`; that covers architecture text that is not canonical
 (exactly what ``format_architecture`` writes, which every later digest check
-re-serializes) and the tensor table to equal the names and shapes that text
-implies (``Architecture.param_specs``), with 4 bytes per element; anything
-else is a :class:`FormatError`. A tensor count or a rank larger than the bytes
-left could hold is a :class:`TruncatedFileError` before the table is built.
+re-serializes) and a tensor table other than the names and shapes the text
+implies (``Architecture.param_specs``).
 """
 
 from __future__ import annotations
@@ -53,8 +57,6 @@ MAGIC_LOCKED = b"DLK1"
 MAGIC_PLAIN = b"DLM1"
 FORMAT_VERSION = 1
 DIGEST_LEN = 32
-# name_len u32, rank u32, offset u64, length u64: a tensor entry's bytes at rank 0
-_MIN_ENTRY_LEN = 24
 
 
 class FormatError(ValueError):
@@ -152,7 +154,8 @@ def raw_locked_params(locked: LockedModel) -> list[WeightTensor]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _serialize_body(magic: bytes, arch: Architecture, blob: bytes) -> bytes:
+def _serialize_header(magic: bytes, arch: Architecture) -> bytes:
+    """Everything before the blobs: the one encoding of ``arch``'s tensor table."""
     out = io.BytesIO()
     out.write(magic)
     out.write(struct.pack("<H", FORMAT_VERSION))
@@ -170,8 +173,11 @@ def _serialize_body(magic: bytes, arch: Architecture, blob: bytes) -> bytes:
         length = 4 * math.prod(shape)
         out.write(struct.pack("<QQ", offset, length))
         offset += length
-    out.write(blob)
     return out.getvalue()
+
+
+def _serialize_body(magic: bytes, arch: Architecture, blob: bytes) -> bytes:
+    return _serialize_header(magic, arch) + blob
 
 
 class _Reader:
@@ -188,21 +194,11 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def reserve(self, n: int, what: str) -> None:
-        """Fail before ``what`` is built when fewer than its ``n`` bytes are left."""
-        if self.pos + n > len(self.data):
-            raise TruncatedFileError(
-                f"{what} needs at least {n} bytes, {len(self.data) - self.pos} are left"
-            )
-
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
 
 
 def _parse_container(data: bytes, expected_magic: bytes):
@@ -216,39 +212,32 @@ def _parse_container(data: bytes, expected_magic: bytes):
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"format version {version} is not supported")
     arch_text = r.take(r.u32())
-    table = []
-    blob_len = 0
-    count = r.u32()
-    r.reserve(_MIN_ENTRY_LEN * count, f"a table of {count} tensors")
-    for _ in range(count):
-        name = r.take(r.u32())
-        rank = r.u32()
-        r.reserve(4 * rank, f"a rank-{rank} shape")
-        shape = tuple(r.u32() for _ in range(rank))
-        offset = r.u64()
-        length = r.u64()
-        if offset != blob_len:
-            raise FormatError(f"blob offset {offset} is not contiguous (expected {blob_len})")
-        table.append((name, shape, length))
-        blob_len += length
-    body_len = r.pos + blob_len
-    blob = r.take(blob_len)
-    digest = r.take(DIGEST_LEN)
-    if r.pos != len(data):
-        raise FormatError(f"{len(data) - r.pos} trailing bytes after digest")
-    if hashlib.sha256(data[:body_len]).digest() != digest:
-        raise DigestMismatchError("integrity digest does not match file contents")
+    intact = hashlib.sha256(memoryview(data)[:-DIGEST_LEN]).digest() == data[-DIGEST_LEN:]
     try:
         arch = parse_architecture(arch_text.decode("utf-8"))
     except (UnicodeDecodeError, ArchitectureError) as exc:
+        if not intact:
+            raise DigestMismatchError("integrity digest does not match file contents") from exc
         raise FormatError(f"bad architecture text: {exc}") from exc
-    if arch_text != format_architecture(arch).encode("utf-8"):
-        raise FormatError("architecture text is not in canonical form")
-    expected = [(name.encode("utf-8"), shape, 4 * math.prod(shape))
-                for name, shape in arch.param_specs()]
-    if table != expected:
+    # nothing below is built from a size the file declares: the header is
+    # rebuilt from the architecture and the file must be exactly it + blob + digest
+    header = _serialize_header(magic, arch)
+    size = len(header) + 4 * arch.param_count + DIGEST_LEN
+    common = min(len(data), len(header))
+    consistent = data[:common] == header[:common]
+    if len(data) < size and (intact or consistent):
+        raise TruncatedFileError(
+            f"a file of this architecture needs at least {size} bytes, this one has {len(data)}"
+        )
+    if consistent and len(data) > size:
+        raise FormatError(f"{len(data) - size} trailing bytes after digest")
+    if not intact:
+        raise DigestMismatchError("integrity digest does not match file contents")
+    if not consistent:
+        if data[:r.pos] != header[:r.pos]:
+            raise FormatError("architecture text is not in canonical form")
         raise FormatError("tensor table does not match the architecture")
-    return arch, blob, digest
+    return arch, data[len(header) : -DIGEST_LEN], data[-DIGEST_LEN:]
 
 
 def _read_source(source) -> bytes:

@@ -517,10 +517,6 @@ class WeightTensor:
     name: str
     values: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
 
 @dataclass
 class Model:
@@ -556,7 +552,7 @@ class Model:
 
     @property
     def param_count(self) -> int:
-        return sum(t.size for t in self.params)
+        return self.arch.param_count
 
     def copy(self) -> "Model":
         return Model(self.arch, [WeightTensor(t.name, t.values.copy()) for t in self.params],
@@ -643,13 +639,7 @@ def predict_classes(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def forward(model: Model, x: np.ndarray) -> Prediction:
     """Single-input inference; x is shaped like arch.input_shape."""
-    x = np.asarray(x)
-    if tuple(x.shape) != model.arch.input_shape:
-        raise ModelSpecError(
-            f"input shape {tuple(x.shape)} does not match {model.arch.input_shape}"
-        )
-    logits = forward_batch(model, x[None])[0]
-    return predict_class(logits)
+    return predict_class(forward_batch(model, np.asarray(x)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +662,27 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits
 
 
+def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels have shape {labels.shape}, expected ({n},) for the batch")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels have dtype {labels.dtype}, expected integers")
+    if n and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"labels must lie in [0, {num_classes}), got "
+                         f"{labels.min()}..{labels.max()}")
+    return labels
+
+
 def loss_and_gradients(model: Model, x: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy and per-tensor gradients (canonical order).
 
-    Also returns the batch logits so training can reuse the forward pass.
+    ``labels`` must be a 1-D integer array of the batch's length with values
+    in ``[0, num_classes)``; anything else is a ``ValueError``. Also returns
+    the batch logits so training can reuse the forward pass.
     """
     logits, caches = _run_layers(model, x, keep_caches=True)
-    loss, grad = _softmax_xent(logits, np.asarray(labels))
+    loss, grad = _softmax_xent(logits, _check_labels(labels, len(logits), model.arch.num_classes))
     grads: list[np.ndarray] = []
     with np.errstate(**_ERRSTATE):
         for depth, (layer, params, cache, y) in reversed(list(enumerate(caches))):
@@ -742,8 +746,6 @@ def train(
         raise ValueError("images and labels must have the same length")
     if len(images) == 0:
         raise ValueError("cannot train on an empty dataset")
-    if int(labels.max()) >= model.arch.num_classes:
-        raise ValueError("label out of range for the architecture's class count")
     work = model.copy()
     rng = np.random.default_rng(cfg.seed)
     lr = np.asarray(cfg.learning_rate, dtype=work.params[0].values.dtype if work.params else np.float32)

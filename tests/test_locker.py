@@ -219,6 +219,30 @@ def test_truncation(small_model, cut):
         locker.read_locked(data[:cut] if cut > 0 else data[:len(data) + cut])
 
 
+def small_files(model) -> dict:
+    plain = io.BytesIO()
+    locker.write_model(model, plain)
+    return {locker.read_locked: locked_file_bytes(model), locker.read_model: plain.getvalue()}
+
+
+def test_every_proper_prefix_is_truncated(small_model):
+    for read, data in small_files(small_model).items():
+        for cut in range(len(data)):
+            with pytest.raises(locker.TruncatedFileError):
+                read(data[:cut])
+
+
+def test_every_flipped_bit_after_the_architecture_length_is_corruption(small_model):
+    # from the architecture text on, a flip is corruption, never a truncation
+    # or a table error: the reader never trusts a size the file declares
+    for read, data in small_files(small_model).items():
+        for pos in range(10, len(data)):
+            corrupted = bytearray(data)
+            corrupted[pos] ^= 1 << (pos % 8)
+            with pytest.raises(locker.DigestMismatchError):
+                read(bytes(corrupted))
+
+
 def test_digest_mismatch_on_flipped_body_byte(small_model):
     data = locked_file_bytes(small_model)
     for pos in (10, len(data) // 2, len(data) - 40):

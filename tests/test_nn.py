@@ -745,6 +745,24 @@ def test_label_out_of_range_rejected():
         nn.train(model, bad, nn.TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("batch, labels, fault", [
+    (4, np.array([-1, 0, 1, 2]), "must lie in"),
+    (2, np.array([5, 0]), "must lie in"),
+    (2, np.array([0]), "shape|same length"),
+    (2, np.array([[0], [1]]), "shape"),
+    (2, np.array([0.0, 1.0]), "dtype"),
+], ids=["negative", "too-large", "broadcast-length-1", "column", "float"])
+def test_bad_labels_rejected_where_every_batch_passes(batch, labels, fault):
+    model = nn.build_model(nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n"), seed=0)
+    before = [t.values.copy() for t in model.params]
+    images = np.ones((batch, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(ValueError, match=fault):
+        nn.loss_and_gradients(model, images, labels)
+    with pytest.raises(ValueError, match=fault):
+        nn.train(model, ArrayData(images, labels), nn.TrainConfig(epochs=1, batch_size=batch))
+    assert all(np.array_equal(a, t.values) for a, t in zip(before, model.params))
+
+
 def test_empty_dataset_rejected():
     arch = nn.parse_architecture("input 1x6x6\nflatten\ndense 2 linear\n")
     model = nn.build_model(arch, seed=4)

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` replaces package functions by attribute name and its
 per-layer metrics look spans up by name, so a rename or a call that no longer
 goes through the traced attribute would only surface in a traced benchmark
-run. This test installs the tracer on one locked query and one backward pass.
+run. These tests install the tracer on one locked query and one backward pass,
+and on the CLI's lock and unlock-check of a small model.
 """
 
 import importlib.util
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modellock import locker, nn
+from modellock import cli, locker, nn
 from modellock.architectures import reference_arch
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -52,3 +53,28 @@ def test_traced_query_and_backward_record_the_benchmark_spans():
     query = tracer.ops.index("query_locked")
     assert all(s[spans.OP] == query for s in tracer.spans
                if s[spans.NAME] in ("locker.unlock_model", "nn.forward", "nn.forward_batch"))
+
+
+def test_traced_cli_provision_records_the_benchmark_spans(tmp_path):
+    spans = load_spans()
+    model = nn.build_model(nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n"), seed=0)
+    plain, locked = tmp_path / "m.dlm", tmp_path / "m.dlk"
+    locker.write_model(model, plain)
+    key = bytes(range(16)).hex()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for op, argv in (("lock", ["lock", str(plain), "--key", key, "--out", str(locked)]),
+                         ("unlock_check", ["unlock-check", str(locked), "--key", key])):
+            tracer.begin_op(op)
+            assert cli.main(argv) == 0
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+
+    recorded = {(tracer.ops[s[spans.OP]], s[spans.NAME]) for s in tracer.spans}
+    for op, name in (("lock", "locker.read_model"), ("lock", "locker.lock_model"),
+                     ("lock", "cipher.lock_bytes"), ("lock", "locker.write_locked"),
+                     ("unlock_check", "locker.read_locked"),
+                     ("unlock_check", "locker.verify_digest")):
+        assert (op, name) in recorded, (op, name)
