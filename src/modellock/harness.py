@@ -168,10 +168,12 @@ def evaluate(subject: Subject, dataset: Dataset, key: Optional[bytes] = None,
 
     Locked subjects require ``key`` and are unlocked once for the pass; the
     unlocked parameters are discarded when the pass ends. An empty dataset
-    is an error, not accuracy zero.
+    is an error, not accuracy zero, and so is a ``batch_size`` below 1.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if isinstance(subject, LockedModel):
         if key is None:
             raise ValueError("evaluating a locked model requires a key")

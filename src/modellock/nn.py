@@ -51,6 +51,17 @@ col2im's accumulator is the one channel-first buffer: a channel-last one
 changed which NaN payload wins in overlapping sums. The first layer's
 backward skips its input gradient (``need_dx``), which nothing consumes.
 
+Each conv activation is one array: the GEMM writes it, and the bias and ReLU
+update it in place (a conv or dense output is fresh, and no cache holds it).
+A NaN-free bias is added once per image, tiled over its oh*ow rows; a bias
+holding a NaN keeps the broadcast add, because where both operands are NaN
+the two adds can keep different payloads. Pooling folds its window offsets
+with ``np.maximum`` when its input holds no -0.0 bit pattern: that returns the
+first NaN and otherwise the larger operand's bits, and without -0.0 only
+equal bits tie. An input holding a -0.0 keeps the exact bit blend, because
+``np.maximum`` may return either zero of a -0.0/0.0 tie. Both choices are
+made from each call's own arguments.
+
 Non-finite weights are deliberately never masked: a model unlocked with a
 wrong key carries NaN/Inf parameters, and their propagation through the
 forward pass is the behavior under test. Floating-point warnings are
@@ -230,11 +241,21 @@ class Conv2D:
         # into the C-contiguous (n*oh*ow, c*kh*kw) column matrix. The index is
         # in range by construction; mode "wrap" skips the range check, which
         # cost a third of the gather at batch 256.
-        rows = np.ascontiguousarray(xt).reshape(n, -1)
+        rows = np.ascontiguousarray(xt).reshape(n, hp * wp * c)
         index = _im2col_index(c, hp, wp, kh, kw, s)
         cols = np.take(rows, index, axis=1, mode="wrap").reshape(n * oh * ow, c * kh * kw)
-        out = cols @ w.reshape(w.shape[0], -1).T + b
-        return (out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2),
+        o = w.shape[0]
+        out = cols @ w.reshape(o, c * kh * kw).T
+        # The bias goes into the GEMM output in place. Broadcast over n*oh*ow
+        # rows, numpy runs one short inner loop per row, so a NaN-free bias is
+        # added once per image, tiled; where both operands are NaN the two
+        # adds can keep different payloads.
+        if np.isnan(b).any():
+            out += b
+        else:
+            per_image = out.reshape(n, oh * ow * o)
+            per_image += np.tile(b, oh * ow)
+        return (out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2),
                 (cols, (n, c, hp, wp), x.shape, ph, pw, (n, oh, ow)))
 
     def backward(self, dy, params, cache, need_dx):
@@ -298,17 +319,24 @@ class MaxPool2D:
         first, *rest = [xt[:, hs, ws] for hs, ws in _window_offsets(ph, pw, s, oh, ow)]
         # Fold the offsets in window order with argmax's rule: a later offset
         # wins only if it is greater, or NaN where y is not. Ties, -0.0 with
-        # 0.0 included, and later NaNs keep the earlier value (np.maximum may
-        # return either zero of a tie). The blend works on the bits, so it is
-        # exact and has no branches.
+        # 0.0 included, and later NaNs keep the earlier value.
         y = first.copy()
         ybits = y.view(f"u{y.itemsize}")
-        for xo in rest:
-            keep = xo <= y
-            keep |= np.isnan(y)
-            diff = ybits ^ xo.view(ybits.dtype)
-            diff &= np.subtract(keep.view(np.uint8), 1, dtype=ybits.dtype)  # ones where not kept
-            ybits ^= diff
+        neg_zero = ybits.dtype.type(1 << (8 * y.itemsize - 1))
+        if (xt.view(ybits.dtype) == neg_zero).any():
+            # np.maximum may return either zero of a -0.0/0.0 tie, so blend on
+            # the bits, which is exact and has no branches.
+            for xo in rest:
+                keep = xo <= y
+                keep |= np.isnan(y)
+                diff = ybits ^ xo.view(ybits.dtype)
+                diff &= np.subtract(keep.view(np.uint8), 1, dtype=ybits.dtype)  # ones where not kept
+                ybits ^= diff
+        else:
+            # np.maximum returns the first NaN and otherwise the larger
+            # operand's bits; without -0.0, values that tie have equal bits.
+            for xo in rest:
+                np.maximum(y, xo, out=y)
         return y.transpose(0, 3, 1, 2), (xt, y, (oh, ow))
 
     def backward(self, dy, params, cache, need_dx):
@@ -360,7 +388,7 @@ class Flatten:
         return ()
 
     def forward(self, x, params):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(x.shape[0], math.prod(x.shape[1:])), x.shape
 
     def backward(self, dy, params, cache, need_dx):
         return dy.reshape(cache), ()
@@ -549,6 +577,10 @@ class Model:
                 )
             if tensor.values.dtype not in (np.float32, np.float64):
                 raise ModelSpecError(f"tensor {name!r} has dtype {tensor.values.dtype}")
+        # the forward pass computes in one dtype, and conv adds its bias in place
+        dtypes = {str(t.values.dtype) for t in self.params}
+        if len(dtypes) > 1:
+            raise ModelSpecError(f"tensors mix dtypes {sorted(dtypes)}")
 
     @property
     def param_count(self) -> int:
@@ -603,7 +635,8 @@ def _run_layers(model: Model, x: np.ndarray, keep_caches: bool):
             params = [next(values) for _ in layer.param_shapes(in_shape)]
             x, cache = layer.forward(x, params)
             if layer.activation == "relu":
-                x = np.maximum(x, 0)
+                # in place: a conv or dense output is a fresh array no cache holds
+                np.maximum(x, 0, out=x)
             if keep_caches:
                 caches.append((layer, params, cache, x))
     return x, caches
@@ -682,6 +715,8 @@ def loss_and_gradients(model: Model, x: np.ndarray, labels: np.ndarray):
     the batch logits so training can reuse the forward pass.
     """
     logits, caches = _run_layers(model, x, keep_caches=True)
+    if len(logits) == 0:
+        raise ValueError("cannot compute a loss on an empty batch")
     loss, grad = _softmax_xent(logits, _check_labels(labels, len(logits), model.arch.num_classes))
     grads: list[np.ndarray] = []
     with np.errstate(**_ERRSTATE):

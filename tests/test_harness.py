@@ -89,6 +89,22 @@ def test_batch_size_does_not_change_results(task):
     assert a == b
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("run", [
+    lambda locked, ds, bs: harness.evaluate(locked, ds, key=KEY, batch_size=bs),
+    lambda locked, ds, bs: harness.wrong_key_sweep(locked, ds, n_keys=2, seed=1, batch_size=bs),
+], ids=["evaluate", "wrong_key_sweep"])
+def test_bad_batch_size_rejected_before_unlock(task, monkeypatch, run, batch_size):
+    _, locked, _, test_ds = task
+
+    def unlock_model(*args):
+        raise AssertionError("unlocked before batch_size was checked")
+
+    monkeypatch.setattr(harness, "unlock_model", unlock_model)
+    with pytest.raises(ValueError, match="batch_size"):
+        run(locked, test_ds, batch_size)
+
+
 # ---------------------------------------------------------------------------
 # wrong_key_sweep
 # ---------------------------------------------------------------------------

@@ -203,6 +203,10 @@ def test_model_validation():
         nn.Model(arch, [nn.WeightTensor(good.params[0].name,
                                         good.params[0].values.astype(np.int32)),
                         good.params[1]])
+    with pytest.raises(nn.ModelSpecError, match="mix dtypes"):
+        nn.Model(arch, [good.params[0],
+                        nn.WeightTensor(good.params[1].name,
+                                        good.params[1].values.astype(np.float64))])
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +345,19 @@ def hostile_array(rng, shape, dtype):
     return x
 
 
+def fast_path_array(rng, shape, dtype):
+    """hostile_array with every -0.0 made +0.0, so the pool folds with np.maximum,
+    and about a third of its NaNs signaling (quiet bit clear, payload kept)."""
+    x = hostile_array(rng, shape, dtype)
+    x[x == 0] = 0
+    bits = x.view(f"u{x.itemsize}")
+    signaling = np.isnan(x) & (rng.random(shape) < 1 / 3)
+    bits[signaling] &= ~bits.dtype.type(1 << (np.finfo(dtype).nmant - 1))
+    bits[signaling] |= 1
+    assert not np.signbit(x[x == 0]).any() and np.isnan(x[signaling]).all()
+    return x
+
+
 def channel_last(x):
     """The same values held in channel-last (N, H, W, C) memory."""
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
@@ -362,8 +379,9 @@ def test_maxpool_matches_reference_bit_for_bit(case, dtype):
     layer = nn.MaxPool2D(ph, pw, stride)
     rng = np.random.default_rng(sum(map(ord, case)))
     with np.errstate(all="ignore"):
-        for draw in range(10):
-            x = hostile_array(rng, shape, dtype)
+        # the hostile draws hold -0.0 (the bit-blend fold), the others do not
+        for draw, make in enumerate([hostile_array] * 10 + [fast_path_array] * 10):
+            x = make(rng, shape, dtype)
             want_y, idx = reference_maxpool_forward(x, ph, pw, stride)
             dy = hostile_array(rng, want_y.shape, dtype)  # NaN gradients must not leak
             want_dx = reference_maxpool_backward(dy, idx, x.shape, pw, stride)
@@ -379,6 +397,9 @@ CONV_CASES = {  # id: (input shape, layer)
     "3x3-valid-stride-1": ((2, 3, 7, 8), nn.Conv2D(4, 3, 3, 1, "valid", "linear")),
     "3x3-same-stride-2": ((2, 3, 7, 8), nn.Conv2D(4, 3, 3, 2, "same", "linear")),
     "2x3-same-stride-2": ((2, 2, 9, 6), nn.Conv2D(3, 2, 3, 2, "same", "linear")),
+    # over numpy's 8192-element buffer, where a broadcast and a tiled bias add
+    # can keep different payloads of NaN + NaN
+    "mnist-conv1": ((2, 1, 28, 28), nn.Conv2D(13, 3, 3, 1, "valid", "linear")),
 }
 
 
@@ -410,6 +431,70 @@ def test_conv_im2col_and_col2im_match_reference_bit_for_bit(case, dtype):
             skipped, first_grads = layer.backward(dy_in, params, cache, need_dx=False)
             assert skipped is None
             assert [g.tobytes() for g in first_grads] == [g.tobytes() for g in grads]
+        # the output, once with a NaN-holding bias and once with a NaN-free one
+        w = params[0].reshape(len(params[1]), -1)
+        nan_b = params[1].copy()
+        nan_b[::2] = np.nan
+        payload = nan_b.view(f"u{nan_b.itemsize}")[::2]
+        payload |= rng.integers(0, 1 << 20, payload.shape).astype(payload.dtype)
+        finite_b = np.where(np.isnan(params[1]), rng.standard_normal(b_shape), params[1])
+        for b in (nan_b, finite_b.astype(dtype)):
+            want_y = (want_cols @ w.T + b).reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
+            for x_in in (x, channel_last(x)):
+                assert layer.forward(x_in, [params[0], b])[0].tobytes() == want_y.tobytes()
+
+
+def test_in_place_relu_matches_out_of_place_reference():
+    """forward_batch and loss_and_gradients on a two-conv relu stack equal a
+    layer-by-layer run with ReLU out of place, where ReLU sees -0.0.
+
+    ReLU sees -0.0 where a layer's GEMM writes -0.0 and its bias is -0.0. With
+    numpy's bundled OpenBLAS, a small GEMM of products that underflow negative
+    writes -0.0 when its right operand is C-contiguous (the dense weight) and
+    +0.0 when it is transposed (the conv weight): the subnormal image meets
+    negative dense weights.
+    """
+    arch = nn.parse_architecture("input 1x6x6\n"
+                                 "conv 3 3x3 stride 1 pad same relu\n"
+                                 "conv 3 3x3 stride 1 pad valid relu\n"
+                                 "maxpool 2x2 stride 2\nflatten\n"
+                                 "dense 5 relu\ndense 4 linear\n")
+    model = nn.build_model(arch, seed=2)
+    w1, b1, w2, b2, w3, b3 = (t.values for t in model.params[:6])
+    w1[1] = w2[1] = 1.0      # carry the subnormal image's values, positive
+    w1[0] = w2[0] = -0.25    # and give the conv ReLUs zero products
+    w3[:, 0] = -1e-3         # products that underflow negative
+    b1[:] = b2[:] = b3[:] = -0.0
+    rng = np.random.default_rng(6)
+    images = rng.standard_normal((6, 1, 6, 6)).astype(np.float32)
+    images[0] = np.finfo(np.float32).smallest_subnormal
+    images[1] = 0
+    images[2, :, 2:4] = 0    # zero rows in a normal image
+    labels = np.array([0, 1, 2, 3, 0, 1])
+
+    caches, x, negative_zeros = [], images, []
+    values = iter(t.values for t in model.params)
+    with np.errstate(all="ignore"):
+        for layer, in_shape in zip(arch.layers, arch.shapes):
+            params = [next(values) for _ in layer.param_shapes(in_shape)]
+            x, cache = layer.forward(x, params)
+            if layer.activation == "relu":
+                negative_zeros.append(int((np.signbit(x) & (x == 0)).sum()))
+                x = np.maximum(x, 0)
+            caches.append((layer, params, cache, x))
+        want_loss, grad = nn._softmax_xent(x, labels)
+        want_grads = []
+        for depth, (layer, params, cache, y) in reversed(list(enumerate(caches))):
+            if layer.activation == "relu":
+                grad = grad * (y > 0)
+            grad, layer_grads = layer.backward(grad, params, cache, need_dx=depth > 0)
+            want_grads[:0] = layer_grads
+    assert negative_zeros[-1] > 0  # the dense ReLU sees -0.0
+    assert nn.forward_batch(model, images).tobytes() == x.tobytes()
+    loss, grads, logits = nn.loss_and_gradients(model, images, labels)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert logits.tobytes() == x.tobytes()
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 
 
 def digests_in_child(name: str, threads: int):
@@ -761,6 +846,17 @@ def test_bad_labels_rejected_where_every_batch_passes(batch, labels, fault):
     with pytest.raises(ValueError, match=fault):
         nn.train(model, ArrayData(images, labels), nn.TrainConfig(epochs=1, batch_size=batch))
     assert all(np.array_equal(a, t.values) for a, t in zip(before, model.params))
+
+
+@pytest.mark.parametrize("name", ["mnist", "cifar10"])
+def test_empty_batch_gets_empty_logits_and_no_loss(name):
+    arch = reference_arch(name)
+    model = nn.build_model(arch, seed=1)
+    empty = np.zeros((0, *arch.input_shape), dtype=np.float32)
+    logits = nn.forward_batch(model, empty)
+    assert logits.shape == (0, arch.num_classes) and logits.dtype == np.float32
+    with pytest.raises(ValueError, match="empty batch"):
+        nn.loss_and_gradients(model, empty, np.zeros(0, dtype=np.int64))
 
 
 def test_empty_dataset_rejected():
