@@ -11,6 +11,7 @@ attack) plus a CLI wiring the whole workflow together.
 
 from .cipher import (
     KEY_LEN,
+    BufferTypeError,
     KeyFormatError,
     KeystreamTooShortError,
     check_key,

@@ -7,22 +7,41 @@ of the master key, and every following 176-byte block is the schedule of the
 previous block's final 16 bytes. The chaining rule is part of the locked-file
 format — both sides must derive identical keystreams from the same key.
 
-The schedule is computed word-wise. The four words w0..w3 of the current
-round key are carried as Python ints across rounds and across chained blocks:
-each round does ``w0 ^= SubWord(RotWord(w3)) ^ rcon`` with one lookup per byte
-into four prebuilt tables, then ``w1 ^= w0; w2 ^= w1; w3 ^= w2``. The final
-round key of a block is the seed of the next, so no bytes round trip is
-needed; all words are packed big-endian once at the end. The output bytes are
-exactly the FIPS-197 Section 5.2 KeyExpansion words w0..w43 of each block.
+Two implementations of the schedule give the same bytes; one is chosen at
+import and used for every call.
+
+- **libcrypto.** CPython's ``_hashlib`` links OpenSSL's libcrypto, which
+  exports the FIPS-197 KeyExpansion as ``AES_set_encrypt_key`` (a deprecated
+  API, still exported by OpenSSL 3). The chain is built in place in one
+  buffer: the master key, then block j at offset ``16 + 176*j``, whose key is
+  the 16 bytes just before it, that is the previous block's final round key.
+  Each block is one native call, and the chain takes about an eighth of the
+  Python schedule's time. ``AES_KEY`` keeps its round keys as 32-bit words,
+  and a build of the portable C code stores them in host byte order, not in
+  the FIPS byte order the format needs. So the import runs a known-answer
+  check: the native chain must reproduce three chained blocks of the Python
+  schedule for the FIPS-197 A.1 key, block 0 being the A.1 expansion. A build
+  that fails the check, or that does not export the symbol, falls back to
+  Python.
+- **Python.** The four words w0..w3 of the current round key are carried as
+  ints across rounds and across chained blocks: each round does
+  ``w0 ^= SubWord(RotWord(w3)) ^ rcon`` with one lookup per byte into four
+  prebuilt tables, then ``w1 ^= w0; w2 ^= w1; w3 ^= w2``. All words are packed
+  big-endian once at the end.
+
+Either way the output bytes are exactly the FIPS-197 Section 5.2 KeyExpansion
+words w0..w43 of each block.
 
 Locking a byte b with key byte k is ``SBOX[b ^ k]``; unlocking is
 ``INV_SBOX[b'] ^ k``. The XOR runs in numpy and the substitution is one
 ``bytes.translate`` over the whole buffer. No block cipher is run: only the
-S-Box and the key schedule are used.
+S-Box and the key schedule are used. Keys and buffers must be bytes-like
+objects; an int, a str or a float is refused, never converted.
 """
 
 from __future__ import annotations
 
+import ctypes
 import struct
 
 import numpy as np
@@ -68,26 +87,35 @@ class KeystreamTooShortError(ValueError):
 
 
 class KeyFormatError(ValueError):
-    """Master key is not exactly 16 bytes."""
+    """Master key is not a bytes-like object of exactly 16 bytes."""
+
+
+class BufferTypeError(TypeError):
+    """A payload or keystream is not a bytes-like object."""
+
+
+def _as_bytes(obj, error: type[Exception], what: str) -> bytes:
+    """``obj`` as bytes if it supports the buffer protocol, else ``error``.
+
+    ``bytes(16)`` is sixteen zero bytes, so an int must never reach ``bytes``.
+    """
+    try:
+        memoryview(obj)
+    except TypeError:
+        raise error(f"{what} must be a bytes-like object, not {type(obj).__name__}") from None
+    return bytes(obj)
 
 
 def check_key(key: bytes) -> bytes:
     """Validate a master key and return it as immutable bytes."""
-    key = bytes(key)
+    key = _as_bytes(key, KeyFormatError, "master key")
     if len(key) != KEY_LEN:
         raise KeyFormatError(f"master key must be {KEY_LEN} bytes, got {len(key)}")
     return key
 
 
-def expand_keystream(key: bytes, n_bytes: int) -> bytes:
-    """Derive ``n_bytes`` of keystream from a 16-byte master key.
-
-    Deterministic and prefix-consistent: the first m bytes of a longer
-    stream equal the length-m stream for the same key.
-    """
-    key = check_key(key)
-    if n_bytes < 0:
-        raise ValueError("n_bytes must be >= 0")
+def _expand_python(key: bytes, n_bytes: int) -> bytes:
+    """The chained schedule in pure Python, word-wise (see the module docstring)."""
     w0, w1, w2, w3 = struct.unpack(">4I", key)
     words = []
     for _ in range(-(-n_bytes // SCHEDULE_LEN)):
@@ -102,10 +130,90 @@ def expand_keystream(key: bytes, n_bytes: int) -> bytes:
     return struct.pack(f">{len(words)}I", *words)[:n_bytes]
 
 
+class _AesKey(ctypes.Structure):
+    """OpenSSL's ``AES_KEY``: the most ``AES_set_encrypt_key`` writes."""
+
+    _fields_ = [("rd_key", ctypes.c_uint32 * 60), ("rounds", ctypes.c_int)]
+
+
+# Bytes a call writes past the 176 of its block. The next block overwrites
+# them; after the last block they land in the buffer's spare tail.
+_SPARE = ctypes.sizeof(_AesKey) - SCHEDULE_LEN
+
+
+def _expand_native(set_encrypt_key, key: bytes, n_bytes: int) -> bytes:
+    """The chained schedule with one ``set_encrypt_key`` call per block.
+
+    Block j is written at offset ``16 + 176*j`` of one buffer that starts with
+    the master key, so each call reads its key, the previous block's final
+    round key, from the 16 bytes just before its output.
+    """
+    n_blocks = -(-n_bytes // SCHEDULE_LEN)
+    buf = ctypes.create_string_buffer(KEY_LEN + n_blocks * SCHEDULE_LEN + _SPARE)
+    buf[:KEY_LEN] = key
+    first = ctypes.addressof(buf) + KEY_LEN
+    for out in range(first, first + n_blocks * SCHEDULE_LEN, SCHEDULE_LEN):
+        status = set_encrypt_key(out - KEY_LEN, 8 * KEY_LEN, out)
+        if status != 0:
+            raise RuntimeError(f"AES_set_encrypt_key returned {status}")
+    return ctypes.string_at(first, n_bytes)
+
+
+def _libcrypto_set_encrypt_key():
+    """libcrypto's ``AES_set_encrypt_key``, or None if it is not exported.
+
+    It is looked up in the libcrypto that ``_hashlib`` already loaded;
+    ``ctypes.util.find_library`` would spawn ``ldconfig``.
+    """
+    try:
+        import _hashlib
+
+        fn = ctypes.CDLL(_hashlib.__file__).AES_set_encrypt_key
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+# FIPS-197 Appendix A.1 cipher key.
+_CHECK_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+
+
+def _checked(set_encrypt_key):
+    """``set_encrypt_key`` if its chain passes the known-answer check, else None."""
+    if set_encrypt_key is None:
+        return None
+    n = 3 * SCHEDULE_LEN
+    try:
+        native = _expand_native(set_encrypt_key, _CHECK_KEY, n)
+    except RuntimeError:
+        return None
+    return set_encrypt_key if native == _expand_python(_CHECK_KEY, n) else None
+
+
+# Chosen once; None means the Python schedule.
+_SET_ENCRYPT_KEY = _checked(_libcrypto_set_encrypt_key())
+
+
+def expand_keystream(key: bytes, n_bytes: int) -> bytes:
+    """Derive ``n_bytes`` of keystream from a 16-byte master key.
+
+    Deterministic and prefix-consistent: the first m bytes of a longer
+    stream equal the length-m stream for the same key.
+    """
+    key = check_key(key)
+    if n_bytes < 0:
+        raise ValueError("n_bytes must be >= 0")
+    if _SET_ENCRYPT_KEY is None:
+        return _expand_python(key, n_bytes)
+    return _expand_native(_SET_ENCRYPT_KEY, key, n_bytes)
+
+
 def lock_bytes(plain: bytes, keystream: bytes) -> bytes:
     """Lock a byte string: ``out[i] = SBOX[plain[i] ^ keystream[i]]``."""
-    p = np.frombuffer(bytes(plain), dtype=np.uint8)
-    ks = np.frombuffer(bytes(keystream), dtype=np.uint8)
+    p = np.frombuffer(_as_bytes(plain, BufferTypeError, "plain"), dtype=np.uint8)
+    ks = np.frombuffer(_as_bytes(keystream, BufferTypeError, "keystream"), dtype=np.uint8)
     if ks.size < p.size:
         raise KeystreamTooShortError(
             f"keystream has {ks.size} bytes, need {p.size}"
@@ -115,8 +223,8 @@ def lock_bytes(plain: bytes, keystream: bytes) -> bytes:
 
 def unlock_bytes(locked: bytes, keystream: bytes) -> bytes:
     """Invert :func:`lock_bytes`: ``out[i] = INV_SBOX[locked[i]] ^ keystream[i]``."""
-    c = bytes(locked)
-    ks = np.frombuffer(bytes(keystream), dtype=np.uint8)
+    c = _as_bytes(locked, BufferTypeError, "locked")
+    ks = np.frombuffer(_as_bytes(keystream, BufferTypeError, "keystream"), dtype=np.uint8)
     if ks.size < len(c):
         raise KeystreamTooShortError(
             f"keystream has {ks.size} bytes, need {len(c)}"

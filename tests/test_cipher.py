@@ -1,15 +1,20 @@
+import ctypes
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modellock import cipher
 from modellock.cipher import (
     INV_SBOX,
     SBOX,
     SCHEDULE_LEN,
+    BufferTypeError,
     KeyFormatError,
     KeystreamTooShortError,
+    check_key,
     expand_keystream,
     lock_bytes,
     unlock_bytes,
@@ -141,6 +146,66 @@ def test_keystream_matches_reference_key_expansion(key, n):
 ])
 def test_keystream_digest_pinned(n, sha256):
     assert hashlib.sha256(expand_keystream(FIPS_KEY, n)).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("n", [0, 1, 175, 176, 177, 351, 352, 353])
+def test_keystream_at_block_boundaries(n):
+    assert expand_keystream(FIPS_KEY, n) == reference_keystream(FIPS_KEY, n)
+
+
+# ---------------------------------------------------------------------------
+# Schedule selection
+# ---------------------------------------------------------------------------
+
+def _stub(word_format, status=0):
+    """An ``AES_set_encrypt_key`` stand-in that writes the reference schedule
+    of the key at ``user_key`` with its 44 words packed as ``word_format``."""
+    def set_encrypt_key(user_key, bits, out):
+        assert bits == 128
+        words = struct.unpack(">44I", reference_keystream(ctypes.string_at(user_key, 16), 176))
+        ctypes.memmove(out, struct.pack(word_format, *words), 176)
+        return status
+    return set_encrypt_key
+
+
+def test_native_schedule_selected_when_libcrypto_passes_the_check():
+    exported = cipher._libcrypto_set_encrypt_key()
+    if exported is None or cipher._checked(exported) is None:
+        pytest.skip("this libcrypto has no FIPS-order AES_set_encrypt_key")
+    assert cipher._SET_ENCRYPT_KEY is not None
+    address = ctypes.cast(cipher._SET_ENCRYPT_KEY, ctypes.c_void_p).value
+    assert address == ctypes.cast(exported, ctypes.c_void_p).value
+
+
+def test_check_accepts_fips_order_round_keys():
+    fips_order = _stub(">44I")
+    assert cipher._checked(fips_order) is fips_order
+    assert cipher._expand_native(fips_order, FIPS_KEY, 1000) == reference_keystream(FIPS_KEY, 1000)
+
+
+@pytest.mark.parametrize("stub", [_stub("<44I"), _stub(">44I", status=-1), None],
+                         ids=["byte-swapped-words", "error-status", "not-exported"])
+def test_check_selects_python_otherwise(stub):
+    # a portable-C libcrypto on a little-endian host stores host-order words
+    assert cipher._checked(stub) is None
+
+
+def test_native_error_status_raises():
+    with pytest.raises(RuntimeError):
+        cipher._expand_native(_stub(">44I", status=-2), FIPS_KEY, 1)
+
+
+@pytest.mark.parametrize("not_bytes", [16, "0123456789abcdef", 16.0])
+def test_only_bytes_like_keys_and_buffers_accepted(not_bytes):
+    # bytes(16) is sixteen zero bytes: an int must not become the zero key
+    with pytest.raises(KeyFormatError):
+        check_key(not_bytes)
+    with pytest.raises(KeyFormatError):
+        expand_keystream(not_bytes, 16)
+    for call in (lambda: lock_bytes(not_bytes, bytes(16)), lambda: lock_bytes(b"", not_bytes),
+                 lambda: unlock_bytes(not_bytes, bytes(16)), lambda: unlock_bytes(b"", not_bytes)):
+        with pytest.raises(BufferTypeError):
+            call()
 
 
 # ---------------------------------------------------------------------------

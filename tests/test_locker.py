@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from modellock import locker, nn
 from modellock.architectures import mnist_arch
-from modellock.cipher import expand_keystream, lock_bytes
+from modellock.cipher import KeyFormatError, expand_keystream, lock_bytes
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 OTHER_KEY = bytes.fromhex("0f0e0d0c0b0a09080706050403020100")
@@ -160,6 +160,14 @@ def test_bad_key_lengths_rejected(small_model):
     locked = locker.lock_model(small_model, KEY)
     with pytest.raises(ValueError):
         locker.unlock_model(locked, b"\x00" * 32)
+
+
+def test_int_key_is_not_the_zero_key(small_model):
+    locked = locker.lock_model(small_model, bytes(16))
+    with pytest.raises(KeyFormatError):
+        locker.unlock_model(locked, 16)
+    with pytest.raises(KeyFormatError):
+        locker.lock_model(small_model, 16)
 
 
 # ---------------------------------------------------------------------------

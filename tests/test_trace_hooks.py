@@ -74,7 +74,9 @@ def test_traced_cli_provision_records_the_benchmark_spans(tmp_path):
 
     recorded = {(tracer.ops[s[spans.OP]], s[spans.NAME]) for s in tracer.spans}
     for op, name in (("lock", "locker.read_model"), ("lock", "locker.lock_model"),
+                     ("lock", "cipher.expand_keystream"),
                      ("lock", "cipher.lock_bytes"), ("lock", "locker.write_locked"),
                      ("unlock_check", "locker.read_locked"),
-                     ("unlock_check", "locker.verify_digest")):
+                     ("unlock_check", "locker.verify_digest"),
+                     ("unlock_check", "cipher.expand_keystream")):
         assert (op, name) in recorded, (op, name)
