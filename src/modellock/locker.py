@@ -37,6 +37,13 @@ its architecture is a :class:`TruncatedFileError`, a failed digest is a
 (exactly what ``format_architecture`` writes, which every later digest check
 re-serializes) and a tensor table other than the names and shapes the text
 implies (``Architecture.param_specs``).
+
+The digest is checked once per :class:`LockedModel`. The model is immutable,
+so the first ``verify_digest`` hashes and later calls return at once;
+``lock_model`` and ``read_locked`` return models already checked, since each
+has just computed or compared that same digest. Every unlock still calls
+``verify_digest``, but repeated unlocks of one model pay the keystream and
+the S-Box, not the hash.
 """
 
 from __future__ import annotations
@@ -45,11 +52,12 @@ import hashlib
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cipher import check_key, expand_keystream, lock_bytes, unlock_bytes
+from .cipher import (BufferTypeError, _as_bytes, check_key, expand_keystream, lock_bytes,
+                     unlock_bytes)
 from .nn import (Architecture, ArchitectureError, Model, WeightTensor, format_architecture,
                  parse_architecture)
 
@@ -79,13 +87,24 @@ class DigestMismatchError(FormatError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class LockedModel:
+    """A locked model in memory; ``blob`` and ``digest`` are stored as ``bytes``.
+
+    Immutable, so a digest that matched once matches for the model's
+    lifetime. ``_checked`` is not an ``__init__`` field: a copy made with
+    ``dataclasses.replace`` starts unchecked.
+    """
+
     arch: Architecture
     blob: bytes  # locked canonical parameter buffer
     digest: bytes
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a bytearray the caller mutates later must not change a checked model
+        object.__setattr__(self, "blob", _as_bytes(self.blob, BufferTypeError, "blob"))
+        object.__setattr__(self, "digest", _as_bytes(self.digest, BufferTypeError, "digest"))
         if len(self.blob) != 4 * self.param_count:
             raise FormatError(
                 f"blob length {len(self.blob)} does not match {self.param_count} parameters"
@@ -96,9 +115,19 @@ class LockedModel:
         return self.arch.param_count
 
     def verify_digest(self) -> None:
-        body = _serialize_body(MAGIC_LOCKED, self.arch, self.blob)
-        if hashlib.sha256(body).digest() != self.digest:
+        """Raise :class:`DigestMismatchError` unless the digest matches; hashes once."""
+        if self._checked:
+            return
+        if _sha256(_serialize_header(MAGIC_LOCKED, self.arch), self.blob) != self.digest:
             raise DigestMismatchError("locked model failed its integrity check")
+        object.__setattr__(self, "_checked", True)
+
+
+def _checked_model(arch: Architecture, blob: bytes, digest: bytes) -> LockedModel:
+    """A LockedModel whose digest the caller has just computed or compared."""
+    locked = LockedModel(arch, blob, digest)
+    object.__setattr__(locked, "_checked", True)
+    return locked
 
 
 def _params_bytes(model: Model) -> bytes:
@@ -126,16 +155,17 @@ def lock_model(model: Model, key: bytes) -> LockedModel:
     model.validate()
     plain = _params_bytes(model)
     blob = lock_bytes(plain, expand_keystream(key, len(plain)))
-    body = _serialize_body(MAGIC_LOCKED, model.arch, blob)
-    return LockedModel(model.arch, blob, hashlib.sha256(body).digest())
+    digest = _sha256(_serialize_header(MAGIC_LOCKED, model.arch), blob)
+    return _checked_model(model.arch, blob, digest)
 
 
 def unlock_model(locked: LockedModel, key: bytes) -> Model:
     """Decrypt ``locked`` with ``key``; succeeds for any 16-byte key.
 
-    Verifies the integrity digest first. A wrong key is not detectable here
-    by design — it produces garbage (often non-finite) parameters. The result
-    is transient: ``write_model`` refuses it and its copies.
+    Verifies the integrity digest first, which hashes only on the model's
+    first check. A wrong key is not detectable here by design — it produces
+    garbage (often non-finite) parameters. The result is transient:
+    ``write_model`` refuses it and its copies.
     """
     key = check_key(key)
     locked.verify_digest()
@@ -176,8 +206,11 @@ def _serialize_header(magic: bytes, arch: Architecture) -> bytes:
     return out.getvalue()
 
 
-def _serialize_body(magic: bytes, arch: Architecture, blob: bytes) -> bytes:
-    return _serialize_header(magic, arch) + blob
+def _sha256(header: bytes, blob: bytes) -> bytes:
+    """The container digest of ``header`` followed by ``blob``, without joining them."""
+    h = hashlib.sha256(header)
+    h.update(blob)
+    return h.digest()
 
 
 class _Reader:
@@ -249,25 +282,29 @@ def _read_source(source) -> bytes:
         return fh.read()
 
 
-def _write_sink(sink, payload: bytes) -> None:
-    if hasattr(sink, "write"):
-        sink.write(payload)
-        return
-    with open(sink, "wb") as fh:
-        fh.write(payload)
+def _write_sink(sink, *chunks: bytes) -> None:
+    if not hasattr(sink, "write"):
+        with open(sink, "wb") as fh:
+            return _write_sink(fh, *chunks)
+    for chunk in chunks:
+        sink.write(chunk)
 
 
 def write_locked(locked: LockedModel, sink) -> None:
-    """Write a ``DLK1`` container; byte-identical for identical inputs."""
-    body = _serialize_body(MAGIC_LOCKED, locked.arch, locked.blob)
-    if hashlib.sha256(body).digest() != locked.digest:
-        raise DigestMismatchError("in-memory locked model failed its integrity check")
-    _write_sink(sink, body + locked.digest)
+    """Write a ``DLK1`` container; byte-identical for identical inputs.
+
+    A model whose digest does not match raises before anything is written.
+    """
+    # a checked model's verify_digest returns at once; skipping the call keeps
+    # the traced verify_digest spans (perfbench/spans.py) at one per unlock
+    if not locked._checked:
+        locked.verify_digest()
+    _write_sink(sink, _serialize_header(MAGIC_LOCKED, locked.arch), locked.blob, locked.digest)
 
 
 def read_locked(source) -> LockedModel:
     """Parse and integrity-check a ``DLK1`` container."""
-    return LockedModel(*_parse_container(_read_source(source), MAGIC_LOCKED))
+    return _checked_model(*_parse_container(_read_source(source), MAGIC_LOCKED))
 
 
 def write_model(model: Model, sink) -> None:
@@ -275,8 +312,8 @@ def write_model(model: Model, sink) -> None:
     if model.transient:
         raise TypeError("unlocked models are transient and must not be persisted")
     model.validate()
-    body = _serialize_body(MAGIC_PLAIN, model.arch, _params_bytes(model))
-    _write_sink(sink, body + hashlib.sha256(body).digest())
+    header, blob = _serialize_header(MAGIC_PLAIN, model.arch), _params_bytes(model)
+    _write_sink(sink, header, blob, _sha256(header, blob))
 
 
 def read_model(source) -> Model:

@@ -449,6 +449,7 @@ class Architecture:
     shapes: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     num_classes: int = field(init=False, compare=False)
     param_count: int = field(init=False, compare=False)
+    _specs: tuple[tuple[str, tuple[int, ...]], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
@@ -458,6 +459,8 @@ class Architecture:
         if not self.layers:
             raise ArchitectureError("architecture has no layers")
         shapes = [self.input_shape]
+        specs = []
+        counts: Counter[str] = Counter()
         total = 0
         for idx, layer in enumerate(self.layers, start=1):
             where = f"layer {idx} ({type(layer).__name__})"
@@ -469,6 +472,9 @@ class Architecture:
                     raise ArchitectureError(
                         f"{where}: shape {dims} exceeds the u32 dimension limit {MAX_DIM}"
                     )
+            counts[layer.keyword] += 1
+            specs += [(f"{layer.keyword}{counts[layer.keyword]}.{role}", dims)
+                      for role, dims in zip(("weight", "bias"), param_shapes)]
             total += sum(math.prod(dims) for dims in param_shapes)
             shapes.append(shape)
         # build_model draws in float64 before its cast, and verification runs in float64
@@ -483,16 +489,15 @@ class Architecture:
         object.__setattr__(self, "shapes", tuple(shapes))
         object.__setattr__(self, "num_classes", shapes[-1][0])
         object.__setattr__(self, "param_count", total)
+        object.__setattr__(self, "_specs", tuple(specs))
 
-    def param_specs(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Canonical (name, shape) list: layer order, weight before bias."""
-        specs = []
-        counts: Counter[str] = Counter()
-        for layer, in_shape in zip(self.layers, self.shapes):
-            counts[layer.keyword] += 1
-            specs += [(f"{layer.keyword}{counts[layer.keyword]}.{role}", shape)
-                      for role, shape in zip(("weight", "bias"), layer.param_shapes(in_shape))]
-        return specs
+    def param_specs(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Canonical (name, shape) table: layer order, weight before bias.
+
+        Built once with the architecture; every model check, parameter split
+        and container header reads this same tuple.
+        """
+        return self._specs
 
 
 # ---------------------------------------------------------------------------

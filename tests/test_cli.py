@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from modellock import locker
+from modellock import locker, nn
 from modellock.architectures import MNIST
 from modellock.cli import main
 
@@ -182,6 +183,28 @@ def test_unlock_check(workspace, capsys):
     out = capsys.readouterr().out
     assert "integrity digest: ok" in out
     assert KEY_HEX not in out
+
+
+def finite_line(capsys) -> str:
+    return next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("finite decoded values:"))
+
+
+def test_unlock_check_wrong_key_prints_the_finite_share_of_all_values(workspace, capsys):
+    _, _, _, locked = workspace
+    assert main(["unlock-check", str(locked), "--key", WRONG_HEX]) == 0
+    view = locker.unlock_model(locker.read_locked(locked), bytes.fromhex(WRONG_HEX))
+    finite = np.isfinite(np.concatenate([t.values.ravel() for t in view.params]))
+    assert 0 < finite.mean() < 1  # the wrong key decodes some non-finite values
+    assert finite_line(capsys) == f"finite decoded values: {finite.mean():.4%}"
+
+
+def test_unlock_check_zero_parameter_model(tmp_path, capsys):
+    path = tmp_path / "empty.dlk"
+    empty = nn.Model(nn.parse_architecture("input 1x10x1\nflatten\n"), [])
+    locker.write_locked(locker.lock_model(empty, bytes.fromhex(KEY_HEX)), path)
+    assert main(["unlock-check", str(path), "--key", WRONG_HEX]) == 0
+    assert finite_line(capsys) == "finite decoded values: 100.0000%"
 
 
 def test_unlock_check_corrupt_file_exits_1(workspace, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from modellock import locker, nn
 from modellock.architectures import mnist_arch
-from modellock.cipher import KeyFormatError, expand_keystream, lock_bytes
+from modellock.cipher import BufferTypeError, KeyFormatError, expand_keystream, lock_bytes
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 OTHER_KEY = bytes.fromhex("0f0e0d0c0b0a09080706050403020100")
@@ -154,6 +155,98 @@ def test_unlock_rejects_corrupted_digest(small_model):
         locker.unlock_model(bad, KEY)
 
 
+def flip_first_byte(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """Counts the ``hashlib.sha256`` objects ``locker`` creates."""
+    calls = []
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+    monkeypatch.setattr(locker, "hashlib", CountingHashlib)
+    return calls
+
+
+@pytest.fixture
+def keystream_calls(monkeypatch):
+    calls = []
+
+    def recording_expand(key, n_bytes):
+        calls.append(n_bytes)
+        return expand_keystream(key, n_bytes)
+
+    monkeypatch.setattr(locker, "expand_keystream", recording_expand)
+    return calls
+
+
+def test_digest_is_hashed_once_per_locked_model(small_model, sha256_calls):
+    locked = locker.lock_model(small_model, KEY)
+    built = locker.LockedModel(locked.arch, locked.blob, locked.digest)
+    del sha256_calls[:]
+    for key in (KEY, OTHER_KEY, KEY):
+        locker.unlock_model(built, key)
+    assert len(sha256_calls) == 1
+    assert model_bytes(locker.unlock_model(built, KEY)) == model_bytes(small_model)
+    assert len(sha256_calls) == 1
+
+
+def test_lock_and_read_results_unlock_without_hashing(small_model, sha256_calls):
+    locked = locker.lock_model(small_model, KEY)
+    assert len(sha256_calls) == 1
+    locker.unlock_model(locked, KEY)
+    data = io.BytesIO()
+    locker.write_locked(locked, data)
+    assert len(sha256_calls) == 1
+    loaded = locker.read_locked(data.getvalue())
+    assert len(sha256_calls) == 2
+    assert model_bytes(locker.unlock_model(loaded, KEY)) == model_bytes(small_model)
+    assert len(sha256_calls) == 2
+
+
+def test_replaced_digest_is_checked_again(small_model, keystream_calls):
+    locked = locker.lock_model(small_model, KEY)
+    locker.unlock_model(locked, KEY)
+    bad = dataclasses.replace(locked, digest=flip_first_byte(locked.digest))
+    del keystream_calls[:]
+    with pytest.raises(locker.DigestMismatchError):
+        locker.unlock_model(bad, KEY)
+    assert keystream_calls == []  # refused before any key is used
+
+
+def test_locked_model_is_immutable(small_model):
+    locked = locker.lock_model(small_model, KEY)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        locked.blob = bytes(len(locked.blob))
+
+
+def test_mutating_the_callers_bytearray_changes_nothing(small_model):
+    locked = locker.lock_model(small_model, KEY)
+    blob, digest = bytearray(locked.blob), bytearray(locked.digest)
+    built = locker.LockedModel(locked.arch, blob, digest)
+    built.verify_digest()
+    blob[0] ^= 1
+    digest[0] ^= 1
+    assert built == locked and type(built.blob) is bytes and type(built.digest) is bytes
+    assert model_bytes(locker.unlock_model(built, KEY)) == model_bytes(small_model)
+
+
+@pytest.mark.parametrize("field", ["blob", "digest"])
+@pytest.mark.parametrize("make", [lambda b: b.decode("latin-1"), len])
+def test_non_bytes_fields_rejected(small_model, field, make):
+    locked = locker.lock_model(small_model, KEY)
+    fields = {"arch": locked.arch, "blob": locked.blob, "digest": locked.digest}
+    fields[field] = make(fields[field])
+    with pytest.raises(BufferTypeError):
+        locker.LockedModel(**fields)
+
+
 def test_bad_key_lengths_rejected(small_model):
     with pytest.raises(ValueError):
         locker.lock_model(small_model, b"\x00" * 8)
@@ -192,6 +285,19 @@ def test_locked_file_round_trip(small_model, tmp_path):
 
 def test_locked_file_bytes_are_deterministic(small_model):
     assert locked_file_bytes(small_model) == locked_file_bytes(small_model)
+
+
+def test_write_locked_refuses_a_corrupted_model(small_model, tmp_path):
+    locked = locker.lock_model(small_model, KEY)
+    for bad in (locker.LockedModel(locked.arch, locked.blob, flip_first_byte(locked.digest)),
+                locker.LockedModel(locked.arch, flip_first_byte(locked.blob), locked.digest)):
+        buf = io.BytesIO()
+        with pytest.raises(locker.DigestMismatchError):
+            locker.write_locked(bad, buf)
+        assert buf.getvalue() == b""
+        with pytest.raises(locker.DigestMismatchError):
+            locker.write_locked(bad, tmp_path / "bad.dlk")
+        assert not (tmp_path / "bad.dlk").exists()
 
 
 def test_footer_is_sha256_of_body(small_model):

@@ -35,9 +35,10 @@ def test_traced_query_and_backward_record_the_benchmark_spans():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        tracer.begin_op("query_locked")
-        nn.forward(locker.unlock_model(locked, key), x[0])
-        tracer.end_op()
+        for _ in range(3):
+            tracer.begin_op("query_locked")
+            nn.forward(locker.unlock_model(locked, key), x[0])
+            tracer.end_op()
         nn.loss_and_gradients(model, x, np.array([0, 1]))
     finally:
         tracer.uninstall()
@@ -50,8 +51,10 @@ def test_traced_query_and_backward_record_the_benchmark_spans():
                  "nn.loss_and_gradients"):
         assert name in names, name
     assert parent_of["locker.verify_digest"] == "locker.unlock_model"
-    query = tracer.ops.index("query_locked")
-    assert all(s[spans.OP] == query for s in tracer.spans
+    # every unlock still reports its digest check, hashed or not
+    assert names.count("locker.verify_digest") == names.count("locker.unlock_model") == 3
+    queries = {op for op, name in enumerate(tracer.ops) if name == "query_locked"}
+    assert all(s[spans.OP] in queries for s in tracer.spans
                if s[spans.NAME] in ("locker.unlock_model", "nn.forward", "nn.forward_batch"))
 
 
@@ -77,6 +80,11 @@ def test_traced_cli_provision_records_the_benchmark_spans(tmp_path):
                      ("lock", "cipher.expand_keystream"),
                      ("lock", "cipher.lock_bytes"), ("lock", "locker.write_locked"),
                      ("unlock_check", "locker.read_locked"),
+                     ("unlock_check", "locker.unlock_model"),
                      ("unlock_check", "locker.verify_digest"),
-                     ("unlock_check", "cipher.expand_keystream")):
+                     ("unlock_check", "cipher.expand_keystream"),
+                     ("unlock_check", "cipher.unlock_bytes")):
         assert (op, name) in recorded, (op, name)
+    # lock_model's result is checked already, so writing it records no digest
+    # check that locker.verify_digest.calls_per_unlock would count
+    assert ("lock", "locker.verify_digest") not in recorded
