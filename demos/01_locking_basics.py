@@ -63,6 +63,6 @@ print(f"locked accuracy: {locked_report.accuracy:.4f} (same key, identical by co
 
 view = unlock_model(locked_model, key)
 identical = all(
-    a.values.tobytes() == b.values.tobytes() for a, b in zip(model.params, view.params)
+    a.tobytes() == b.tobytes() for a, b in zip(model.params, view.params)
 )
 print("unlocked parameters bit-identical:", identical)

@@ -53,7 +53,6 @@ from .nn import (
     Model,
     Prediction,
     TrainConfig,
-    WeightTensor,
     build_model,
     forward,
     forward_batch,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from math import ceil, prod
 
@@ -102,10 +103,20 @@ def parse_idx(data: bytes) -> np.ndarray:
 
 
 def read_idx(path) -> np.ndarray:
-    """Read an IDX file (gzip-transparent) from a local path."""
+    """Read an IDX file (gzip-transparent) from a local path.
+
+    A gzip stream that ends early is an :class:`IdxTruncatedError`; one that
+    is not gzip or fails its checks is an :class:`IdxFormatError`.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        return parse_idx(fh.read())
+    try:
+        with opener(path, "rb") as fh:
+            raw = fh.read()
+    except EOFError as exc:
+        raise IdxTruncatedError(f"{path}: compressed stream ends early") from exc
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise IdxFormatError(f"{path}: bad gzip stream: {exc}") from exc
+    return parse_idx(raw)
 
 
 def load_idx_dataset(images_path, labels_path, name: str = "idx",

@@ -211,22 +211,17 @@ def generate_wrong_keys(n_keys: int, seed: int, true_key: Optional[bytes] = None
 
 def wrong_key_sweep(locked: LockedModel, dataset: Dataset, n_keys: int, seed: int,
                     true_key: Optional[bytes] = None,
-                    keys: Optional[list[bytes]] = None,
                     batch_size: int = 256) -> SweepReport:
     """Evaluate ``locked`` under ``n_keys`` random incorrect keys.
 
-    ``keys`` overrides generation (for consistency checks); otherwise keys
-    are drawn from ``seed`` and never equal ``true_key`` when it is given.
+    The keys are ``generate_wrong_keys(n_keys, seed, true_key)``: drawn from
+    ``seed`` and never equal to ``true_key`` when it is given.
     """
     if n_keys < 1:
         raise ValueError("n_keys must be >= 1")
-    if keys is None:
-        keys = generate_wrong_keys(n_keys, seed, true_key)
-    elif len(keys) != n_keys:
-        raise ValueError(f"{len(keys)} keys supplied but n_keys={n_keys}")
     accuracies = []
     nan_fractions = []
-    for key in keys:
+    for key in generate_wrong_keys(n_keys, seed, true_key):
         report = evaluate(locked, dataset, key=key, batch_size=batch_size)
         accuracies.append(report.accuracy)
         nan_fractions.append(report.nan_prediction_fraction)
@@ -336,12 +331,12 @@ def fine_tune_attack(locked: LockedModel, wrong_key: bytes, manifest: Dataset,
     """
     wrong_key = check_key(wrong_key)
     if init_mode == "unlocked":
-        params = unlock_model(locked, wrong_key).params
+        flat = unlock_model(locked, wrong_key).flat
     elif init_mode == "raw":
-        params = raw_locked_params(locked)
+        flat = raw_locked_params(locked)
     else:
         raise ValueError(f"init_mode must be 'unlocked' or 'raw', got {init_mode!r}")
-    model = nn.Model(locked.arch, params)
+    model = nn.Model(locked.arch, flat)
     arm = {"arm": "attack", "init_mode": init_mode}
     return _run_fine_tune(model, manifest, val, cfg, arm, fraction)
 

@@ -1,11 +1,13 @@
 """Whole-model lock/unlock and the on-disk container formats.
 
-Locking walks the model's parameters in canonical order (layer order, weight
-before bias, row-major elements), serializes each scalar as little-endian
-IEEE-754 binary32, and transforms the bytes with the S-Box keystream: scalar
-i consumes keystream bytes 4i..4i+3. Unlocking inverts that bytewise, so the
-round trip is bit-exact for every float pattern including NaN payloads —
-parameter bytes never pass through float arithmetic here.
+A model's parameters are one canonical buffer, ``Model.flat`` (layer order,
+weight before bias, row-major elements). Locking serializes it as
+little-endian IEEE-754 binary32 and transforms the bytes with the S-Box
+keystream: scalar i consumes keystream bytes 4i..4i+3. Unlocking inverts that
+bytewise and returns a model over the unlocked bytes themselves, read-only and
+uncopied; ``read_model`` does the same with a checkpoint's bytes. The round
+trip is bit-exact for every float pattern including NaN payloads — parameter
+bytes never pass through float arithmetic here.
 
 Unlocking never judges the key: any 16-byte key "succeeds" and a wrong key
 simply yields garbage parameters (frequently non-finite). That is the locking
@@ -58,8 +60,7 @@ import numpy as np
 
 from .cipher import (BufferTypeError, _as_bytes, check_key, expand_keystream, lock_bytes,
                      unlock_bytes)
-from .nn import (Architecture, ArchitectureError, Model, WeightTensor, format_architecture,
-                 parse_architecture)
+from .nn import Architecture, ArchitectureError, Model, format_architecture, parse_architecture
 
 MAGIC_LOCKED = b"DLK1"
 MAGIC_PLAIN = b"DLM1"
@@ -132,27 +133,13 @@ def _checked_model(arch: Architecture, blob: bytes, digest: bytes) -> LockedMode
 
 def _params_bytes(model: Model) -> bytes:
     """The canonical parameter buffer: every scalar as ``<f4``, in order."""
-    return b"".join(np.ascontiguousarray(t.values, dtype="<f4").tobytes()
-                    for t in model.params)
-
-
-def _params_from_bytes(arch: Architecture, buf: bytes) -> list[WeightTensor]:
-    """Split a canonical parameter buffer into ``arch``'s tensors (one copy)."""
-    values = np.frombuffer(buf, dtype="<f4").copy()
-    params = []
-    offset = 0
-    for name, shape in arch.param_specs():
-        size = math.prod(shape)
-        params.append(WeightTensor(name, values[offset : offset + size].reshape(shape)))
-        offset += size
-    return params
+    return model.flat.astype("<f4", copy=False).tobytes()
 
 
 def lock_model(model: Model, key: bytes) -> LockedModel:
     """Lock every parameter of ``model`` under ``key``: one keystream over the
     canonical parameter buffer, so offsets run across tensor boundaries."""
     key = check_key(key)
-    model.validate()
     plain = _params_bytes(model)
     blob = lock_bytes(plain, expand_keystream(key, len(plain)))
     digest = _sha256(_serialize_header(MAGIC_LOCKED, model.arch), blob)
@@ -165,19 +152,20 @@ def unlock_model(locked: LockedModel, key: bytes) -> Model:
     Verifies the integrity digest first, which hashes only on the model's
     first check. A wrong key is not detectable here by design — it produces
     garbage (often non-finite) parameters. The result is transient:
-    ``write_model`` refuses it and its copies.
+    ``write_model`` refuses it and its copies. Its parameters are a
+    read-only view of the unlocked bytes; ``copy()`` gives a writable model.
     """
     key = check_key(key)
     locked.verify_digest()
     plain = unlock_bytes(locked.blob, expand_keystream(key, len(locked.blob)))
-    return Model(locked.arch, _params_from_bytes(locked.arch, plain), transient=True)
+    return Model(locked.arch, np.frombuffer(plain, dtype="<f4"), transient=True)
 
 
-def raw_locked_params(locked: LockedModel) -> list[WeightTensor]:
-    """Interpret the locked blob directly as float32 tensors (no unlock).
+def raw_locked_params(locked: LockedModel) -> np.ndarray:
+    """The locked blob read directly as a read-only float32 buffer (no unlock).
 
     Exposed for the fine-tuning attack's alternate initialization mode."""
-    return _params_from_bytes(locked.arch, locked.blob)
+    return np.frombuffer(locked.blob, dtype="<f4")
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +299,11 @@ def write_model(model: Model, sink) -> None:
     """Write a plaintext ``DLM1`` checkpoint (offline workflow only)."""
     if model.transient:
         raise TypeError("unlocked models are transient and must not be persisted")
-    model.validate()
     header, blob = _serialize_header(MAGIC_PLAIN, model.arch), _params_bytes(model)
     _write_sink(sink, header, blob, _sha256(header, blob))
 
 
 def read_model(source) -> Model:
-    """Parse a plaintext ``DLM1`` checkpoint back into a Model."""
+    """Parse a plaintext ``DLM1`` checkpoint into a Model over its read-only bytes."""
     arch, blob, _ = _parse_container(_read_source(source), MAGIC_PLAIN)
-    return Model(arch, _params_from_bytes(arch, blob))
+    return Model(arch, np.frombuffer(blob, dtype="<f4"))

@@ -21,6 +21,8 @@ width is the class count. Integers are ASCII decimal. Blank lines and ``#``
 comments are ignored.
 Parameters are stored float32 in the product workflow; the layer math is
 dtype-generic so verification code can run the identical path in float64.
+A ``Model`` holds them as one 1-D buffer (``flat``) in the canonical order
+``locker`` encrypts; ``model.params`` are per-tensor views into that buffer.
 
 Each layer type is one frozen dataclass under "Layer types" below. It owns
 its grammar (``keyword``, ``usage``, ``parse``, ``text``), its shape rule
@@ -545,15 +547,17 @@ def format_architecture(arch: Architecture) -> str:
 # Model container
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightTensor:
-    name: str
-    values: np.ndarray
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Model:
-    """Parameters for ``arch`` in canonical order.
+    """Parameters for ``arch``: one 1-D float32 or float64 buffer ``flat`` of
+    ``arch.param_count`` scalars in canonical order (layer order, weight before
+    bias, row-major elements).
+
+    ``params`` holds one view of ``flat`` per tensor of ``arch.param_specs()``,
+    so a write through a view is a write to ``flat``. The model is frozen: its
+    buffer is checked once, here, and cannot be swapped afterwards. A buffer
+    wrapped around immutable bytes (``locker``'s unlocked and read models) is
+    read-only; :meth:`copy` returns a writable one.
 
     ``transient`` marks parameters reconstructed with a caller-supplied key
     (set only by ``locker.unlock_model``): they are scoped to the query that
@@ -561,39 +565,34 @@ class Model:
     """
 
     arch: Architecture
-    params: list[WeightTensor]
+    flat: np.ndarray
     transient: bool = False
+    params: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        specs = self.arch.param_specs()
-        if len(self.params) != len(specs):
+        flat = self.flat
+        if not isinstance(flat, np.ndarray):
+            raise ModelSpecError(f"parameters must be one numpy array, got {type(flat).__name__}")
+        if flat.dtype not in (np.float32, np.float64):
+            raise ModelSpecError(f"parameters have dtype {flat.dtype}, expected float32 or float64")
+        if flat.shape != (self.arch.param_count,):
             raise ModelSpecError(
-                f"expected {len(specs)} parameter tensors, got {len(self.params)}"
+                f"parameters have shape {flat.shape}, expected ({self.arch.param_count},)"
             )
-        for tensor, (name, shape) in zip(self.params, specs):
-            if tensor.name != name:
-                raise ModelSpecError(f"tensor {tensor.name!r} out of order, expected {name!r}")
-            if tuple(tensor.values.shape) != shape:
-                raise ModelSpecError(
-                    f"tensor {name!r} has shape {tuple(tensor.values.shape)}, expected {shape}"
-                )
-            if tensor.values.dtype not in (np.float32, np.float64):
-                raise ModelSpecError(f"tensor {name!r} has dtype {tensor.values.dtype}")
-        # the forward pass computes in one dtype, and conv adds its bias in place
-        dtypes = {str(t.values.dtype) for t in self.params}
-        if len(dtypes) > 1:
-            raise ModelSpecError(f"tensors mix dtypes {sorted(dtypes)}")
+        views = []
+        offset = 0
+        for _, shape in self.arch.param_specs():
+            size = math.prod(shape)
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        object.__setattr__(self, "params", tuple(views))
 
     @property
     def param_count(self) -> int:
         return self.arch.param_count
 
     def copy(self) -> "Model":
-        return Model(self.arch, [WeightTensor(t.name, t.values.copy()) for t in self.params],
-                     self.transient)
+        return Model(self.arch, self.flat.copy(), self.transient)
 
 
 @dataclass
@@ -606,16 +605,14 @@ class Prediction:
 def build_model(arch: Architecture, seed: int) -> Model:
     """Seeded He-uniform initialization: weights U(-b, b) with b = sqrt(6 / fan_in)."""
     rng = np.random.default_rng(seed)
-    params = []
-    for name, shape in arch.param_specs():
+    model = Model(arch, np.zeros(arch.param_count, dtype=np.float32))
+    for (name, shape), values in zip(arch.param_specs(), model.params):
         if name.endswith(".bias"):
-            values = np.zeros(shape, dtype=np.float32)
-        else:
-            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else int(shape[0])
-            bound = np.sqrt(6.0 / fan_in)
-            values = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        params.append(WeightTensor(name, values))
-    return Model(arch, params)
+            continue
+        fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else int(shape[0])
+        bound = np.sqrt(6.0 / fan_in)
+        values[...] = rng.uniform(-bound, bound, size=shape)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +624,13 @@ def _run_layers(model: Model, x: np.ndarray, keep_caches: bool):
 
     Returns (logits, per-layer (layer, params, cache, output) or None).
     """
-    dtype = model.params[0].values.dtype if model.params else np.float32
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x, dtype=model.flat.dtype)
     if x.ndim != 4 or tuple(x.shape[1:]) != model.arch.input_shape:
         raise ModelSpecError(
             f"input shape {tuple(x.shape)} does not match (N, {', '.join(map(str, model.arch.input_shape))})"
         )
     caches = [] if keep_caches else None
-    values = iter([t.values for t in model.params])
+    values = iter(model.params)
     with np.errstate(**_ERRSTATE):
         for layer, in_shape in zip(model.arch.layers, model.arch.shapes):
             params = [next(values) for _ in layer.param_shapes(in_shape)]
@@ -788,7 +784,7 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     work = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    lr = np.asarray(cfg.learning_rate, dtype=work.params[0].values.dtype if work.params else np.float32)
+    lr = np.asarray(cfg.learning_rate, dtype=work.flat.dtype)
     n = len(images)
     history: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
@@ -809,8 +805,8 @@ def train(
             classes, _ = predict_classes(logits)
             correct += int((classes == y).sum())
             with np.errstate(**_ERRSTATE):
-                for tensor, g in zip(work.params, grads):
-                    tensor.values -= lr * g
+                for values, g in zip(work.params, grads):
+                    values -= lr * g
         metrics = EpochMetrics(
             epoch=epoch,
             loss=finite_loss / finite_count if finite_count else float("nan"),

@@ -135,7 +135,7 @@ def finite_difference_gradients(loss_fn, model, h=1e-3):
     """Central differences of loss_fn(model) w.r.t. every parameter scalar."""
     grads = []
     for tensor in model.params:
-        flat = tensor.values.reshape(-1)
+        flat = tensor.reshape(-1)
         g = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
@@ -145,7 +145,7 @@ def finite_difference_gradients(loss_fn, model, h=1e-3):
             down = loss_fn(model)
             flat[i] = orig
             g[i] = (up - down) / (2.0 * h)
-        grads.append(g.reshape(tensor.values.shape))
+        grads.append(g.reshape(tensor.shape))
     return grads
 
 

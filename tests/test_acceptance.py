@@ -128,11 +128,11 @@ def test_criterion_2_round_trip_exactness():
     # the same property at the whole-model level, NaN/Inf weights included
     arch = nn.parse_architecture("input 1x6x6\nflatten\ndense 8 relu\ndense 3 linear\n")
     model = nn.build_model(arch, seed=1)
-    flat = model.params[0].values.reshape(-1)
+    flat = model.params[0].reshape(-1)
     flat[:6] = np.frombuffer(specials.astype("<u4").tobytes(), dtype="<f4")
     view = locker.unlock_model(locker.lock_model(model, KEY), KEY)
     for a, b in zip(model.params, view.params):
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     announce(2, "round-trip exactness",
@@ -314,8 +314,8 @@ def test_criterion_8_format_stability(desk_model):
 
     reread = locker.read_locked(blob)
     view = locker.unlock_model(reread, KEY)
-    original = b"".join(t.values.tobytes() for t in model.params)
-    recovered = b"".join(t.values.tobytes() for t in view.params)
+    original = b"".join(t.tobytes() for t in model.params)
+    recovered = b"".join(t.tobytes() for t in view.params)
     assert recovered == original  # lock -> write -> read -> unlock, bit-exact
 
     with pytest.raises(locker.BadMagicError):

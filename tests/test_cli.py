@@ -6,6 +6,7 @@ import pytest
 from modellock import locker, nn
 from modellock.architectures import MNIST
 from modellock.cli import main
+from test_data import corrupt_gzip, idx_file
 
 KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 WRONG_HEX = "ffeeddccbbaa99887766554433221100"
@@ -64,7 +65,7 @@ def test_train_epochs_zero_writes_initialization(workspace, tmp_path):
     from modellock import nn
     init = nn.build_model(nn.parse_architecture(TINY_ARCH), seed=7)
     loaded = locker.read_model(out)
-    assert all((a.values == b.values).all() for a, b in zip(init.params, loaded.params))
+    assert all((a == b).all() for a, b in zip(init.params, loaded.params))
 
 
 @pytest.mark.parametrize("flag, value, named", [
@@ -194,14 +195,15 @@ def test_unlock_check_wrong_key_prints_the_finite_share_of_all_values(workspace,
     _, _, _, locked = workspace
     assert main(["unlock-check", str(locked), "--key", WRONG_HEX]) == 0
     view = locker.unlock_model(locker.read_locked(locked), bytes.fromhex(WRONG_HEX))
-    finite = np.isfinite(np.concatenate([t.values.ravel() for t in view.params]))
+    finite = np.isfinite(np.concatenate([t.ravel() for t in view.params]))
     assert 0 < finite.mean() < 1  # the wrong key decodes some non-finite values
     assert finite_line(capsys) == f"finite decoded values: {finite.mean():.4%}"
 
 
 def test_unlock_check_zero_parameter_model(tmp_path, capsys):
     path = tmp_path / "empty.dlk"
-    empty = nn.Model(nn.parse_architecture("input 1x10x1\nflatten\n"), [])
+    arch = nn.parse_architecture("input 1x10x1\nflatten\n")
+    empty = nn.Model(arch, np.zeros(0, dtype=np.float32))
     locker.write_locked(locker.lock_model(empty, bytes.fromhex(KEY_HEX)), path)
     assert main(["unlock-check", str(path), "--key", WRONG_HEX]) == 0
     assert finite_line(capsys) == "finite decoded values: 100.0000%"
@@ -352,6 +354,16 @@ def test_unknown_magic_exits_1(workspace, tmp_path, capsys):
     junk = tmp_path / "junk.dlm"
     junk.write_bytes(b"JUNKJUNKJUNK")
     assert main(["eval", str(junk), "--synthetic"]) == 1
+
+
+@pytest.mark.parametrize("kind", ["truncated", "crc", "deflate", "not-gzip"])
+def test_corrupt_gzip_idx_exits_1(workspace, tmp_path, capsys, kind):
+    _, _, model, _ = workspace
+    images, labels = tmp_path / "im.idx.gz", tmp_path / "lb.idx"
+    images.write_bytes(corrupt_gzip(kind, idx_file(0x08, [6, 10, 10], bytes(600))))
+    labels.write_bytes(idx_file(0x08, [6], bytes(6)))
+    assert main(["eval", str(model), "--images", str(images), "--labels", str(labels)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_argparse_usage_exits_2():

@@ -96,6 +96,30 @@ def test_read_idx_gzip_transparent(tmp_path):
     assert data.read_idx(gz_path).tolist() == [1, 2, 3, 4]
 
 
+def corrupt_gzip(kind: str, raw: bytes) -> bytes:
+    packed = gzip.compress(raw, mtime=0)
+    if kind == "truncated":
+        return packed[: len(packed) // 2]
+    if kind == "crc":  # the CRC-32 trailer no longer matches the data
+        return packed[:-8] + bytes([packed[-8] ^ 1]) + packed[-7:]
+    if kind == "deflate":  # the first block declares the reserved block type
+        return packed[:10] + bytes([packed[10] | 0b110]) + packed[11:]
+    return raw  # an IDX stream that was never compressed
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("truncated", data.IdxTruncatedError),
+    ("crc", data.IdxFormatError),
+    ("deflate", data.IdxFormatError),
+    ("not-gzip", data.IdxFormatError),
+])
+def test_corrupt_gzip_raises_idx_errors(tmp_path, kind, error):
+    path = tmp_path / "v.idx.gz"
+    path.write_bytes(corrupt_gzip(kind, idx_file(0x08, [64], bytes(range(64)))))
+    with pytest.raises(error):
+        data.read_idx(path)
+
+
 def test_load_idx_dataset(tmp_path):
     images = idx_file(0x08, [2, 2, 2], bytes([0, 255, 32, 64, 128, 16, 8, 200]))
     labels = idx_file(0x08, [2], bytes([3, 9]))

@@ -126,11 +126,13 @@ def test_sweep_degrades_to_chance(task):
     assert report.mean_nan_fraction > 0.5
 
 
-def test_sweep_with_forced_true_key_matches_correct_eval(task):
+def test_sweep_per_key_accuracy_matches_eval_under_each_generated_key(task):
     _, locked, _, test_ds = task
-    correct = harness.evaluate(locked, test_ds, key=KEY)
-    forced = harness.wrong_key_sweep(locked, test_ds, n_keys=1, seed=0, keys=[KEY])
-    assert forced.per_key_accuracy == [correct.accuracy]
+    report = harness.wrong_key_sweep(locked, test_ds, n_keys=4, seed=3, true_key=KEY)
+    keys = harness.generate_wrong_keys(4, seed=3, true_key=KEY)
+    assert report.per_key_accuracy == [
+        harness.evaluate(locked, test_ds, key=k).accuracy for k in keys
+    ]
 
 
 def test_generated_keys_exclude_true_key():
@@ -144,8 +146,6 @@ def test_sweep_validates_arguments(task):
     _, locked, _, test_ds = task
     with pytest.raises(ValueError):
         harness.wrong_key_sweep(locked, test_ds, n_keys=0, seed=1)
-    with pytest.raises(ValueError):
-        harness.wrong_key_sweep(locked, test_ds, n_keys=3, seed=1, keys=[KEY])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import math
 import re
 import struct
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from modellock import locker, nn
 from modellock.architectures import mnist_arch
 from modellock.cipher import BufferTypeError, KeyFormatError, expand_keystream, lock_bytes
+from modellock.data import Dataset
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 OTHER_KEY = bytes.fromhex("0f0e0d0c0b0a09080706050403020100")
@@ -36,11 +38,11 @@ def small_model():
 @pytest.fixture
 def zero_param_model():
     arch = nn.Architecture((1, 10, 1), (nn.Flatten(),))
-    return nn.Model(arch, [])
+    return nn.Model(arch, np.zeros(0, dtype=np.float32))
 
 
 def model_bytes(model_like) -> bytes:
-    return b"".join(np.ascontiguousarray(t.values, dtype="<f4").tobytes()
+    return b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes()
                     for t in model_like.params)
 
 
@@ -50,7 +52,7 @@ def inject_nonfinite(model: nn.Model, seed=0) -> nn.Model:
                          np.float32(np.frombuffer(b"\x01\x00\x80\x7f", "<f4")[0])],
                         dtype=np.float32)  # includes a NaN payload bit pattern
     for tensor in model.params:
-        flat = tensor.values.reshape(-1)
+        flat = tensor.reshape(-1)
         hits = rng.choice(flat.size, size=max(1, flat.size // 16), replace=False)
         flat[hits] = rng.choice(specials, size=hits.size)
     return model
@@ -65,7 +67,7 @@ def test_round_trip_is_bit_exact(small_model):
     view = locker.unlock_model(locked, KEY)
     assert model_bytes(view) == model_bytes(small_model)
     for a, b in zip(small_model.params, view.params):
-        assert a.name == b.name and a.values.shape == b.values.shape
+        assert a.shape == b.shape
 
 
 def test_round_trip_with_nonfinite_payloads(small_model):
@@ -77,7 +79,7 @@ def test_round_trip_with_nonfinite_payloads(small_model):
 
 def test_blob_lengths_are_4x_element_count(small_model):
     locked = locker.lock_model(small_model, KEY)
-    assert len(locked.blob) == 4 * sum(t.values.size for t in small_model.params)
+    assert len(locked.blob) == 4 * sum(t.size for t in small_model.params)
     assert locked.param_count == small_model.param_count
     with pytest.raises(locker.FormatError):
         locker.LockedModel(locked.arch, locked.blob[:-4], locked.digest)
@@ -101,7 +103,37 @@ def test_zero_parameter_model(zero_param_model):
     locked = locker.lock_model(zero_param_model, KEY)
     assert locked.blob == b"" and locked.param_count == 0
     view = locker.unlock_model(locked, KEY)
-    assert view.params == []
+    assert view.params == () and view.flat.size == 0
+
+
+def test_unlocked_and_read_models_are_read_only_views(small_model):
+    view = locker.unlock_model(locker.lock_model(small_model, KEY), KEY)
+    buf = io.BytesIO()
+    locker.write_model(small_model, buf)
+    loaded = locker.read_model(buf.getvalue())
+    raw = locker.raw_locked_params(locker.lock_model(small_model, KEY))
+    assert not raw.flags.writeable and raw.shape == (small_model.param_count,)
+    for model in (view, loaded):
+        assert not model.flat.flags.writeable
+        assert all(np.shares_memory(model.flat, p) for p in model.params)
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[0][...] = 0
+        clone = model.copy()
+        assert clone.flat.flags.writeable and clone.transient == model.transient
+        assert model_bytes(clone) == model_bytes(small_model)
+
+
+def test_training_from_a_read_only_model(small_model):
+    view = locker.unlock_model(locker.lock_model(small_model, KEY), KEY)
+    rng = np.random.default_rng(0)
+    data = Dataset("tiny", rng.random((8, *small_model.arch.input_shape), dtype=np.float32),
+                   rng.integers(0, small_model.arch.num_classes, 8), small_model.arch.num_classes)
+    cfg = nn.TrainConfig(epochs=1, batch_size=4, seed=1)
+    trained, _ = nn.train(view, data, cfg)
+    want, _ = nn.train(small_model, data, cfg)
+    assert trained.flat.flags.writeable and not view.flat.flags.writeable
+    assert trained.flat.tobytes() == want.flat.tobytes()
+    assert model_bytes(view) == model_bytes(small_model)
 
 
 def test_lock_is_deterministic(small_model):
@@ -119,7 +151,7 @@ def test_keystream_offsets_run_across_tensors(small_model):
     per_tensor = []
     offset = 0
     for tensor in small_model.params:
-        chunk = np.ascontiguousarray(tensor.values, dtype="<f4").tobytes()
+        chunk = np.ascontiguousarray(tensor, dtype="<f4").tobytes()
         per_tensor.append(lock_bytes(chunk, ks[offset : offset + len(chunk)]))
         offset += len(chunk)
     assert locked.blob == b"".join(per_tensor) == lock_bytes(plain, ks)
@@ -393,7 +425,7 @@ def test_empty_model_file_round_trip(zero_param_model):
     buf = io.BytesIO()
     locker.write_model(zero_param_model, buf)
     loaded = locker.read_model(buf.getvalue())
-    assert loaded.params == [] and loaded.arch == zero_param_model.arch
+    assert loaded.params == () and loaded.arch == zero_param_model.arch
 
 
 def test_plain_version_mismatch(small_model):
@@ -474,7 +506,8 @@ def commented_arch_text(arch_text, table, blob):
 def test_inconsistent_tensor_table_rejected(small_model, mutate):
     locked = locker.lock_model(small_model, KEY)
     arch_text = nn.format_architecture(small_model.arch).encode()
-    table = [(t.name.encode(), t.values.shape, 4 * t.values.size) for t in small_model.params]
+    table = [(name.encode(), shape, 4 * math.prod(shape))
+             for name, shape in small_model.arch.param_specs()]
     plain = io.BytesIO()
     locker.write_model(small_model, plain)
     for magic, blob, honest, read in (
@@ -510,7 +543,7 @@ def tiny_parts(magic: bytes):
     model = nn.build_model(nn.parse_architecture(TINY), seed=3)
     blob = (locker.lock_model(model, KEY).blob if magic == locker.MAGIC_LOCKED
             else model_bytes(model))
-    table = [(t.name.encode(), t.values.shape, 4 * t.values.size) for t in model.params]
+    table = [(name.encode(), shape, 4 * math.prod(shape)) for name, shape in model.arch.param_specs()]
     return TINY.encode(), table, blob
 
 

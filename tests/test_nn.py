@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -39,10 +40,7 @@ dense 10 linear
 
 
 def as_float64(model: nn.Model) -> nn.Model:
-    return nn.Model(
-        model.arch,
-        [nn.WeightTensor(t.name, t.values.astype(np.float64)) for t in model.params],
-    )
+    return nn.Model(model.arch, model.flat.astype(np.float64))
 
 
 class ArrayData:
@@ -179,34 +177,73 @@ def test_build_model_deterministic():
     a = nn.build_model(arch, seed=5)
     b = nn.build_model(arch, seed=5)
     c = nn.build_model(arch, seed=6)
-    assert all((x.values == y.values).all() for x, y in zip(a.params, b.params))
-    assert any((x.values != y.values).any() for x, y in zip(a.params, c.params))
+    assert all((x == y).all() for x, y in zip(a.params, b.params))
+    assert any((x != y).any() for x, y in zip(a.params, c.params))
     assert a.param_count == 86166
 
 
 def test_biases_start_at_zero():
     model = nn.build_model(nn.parse_architecture(CANONICAL), seed=0)
-    for tensor in model.params:
-        if tensor.name.endswith(".bias"):
-            assert (tensor.values == 0).all()
+    for (name, _), values in zip(model.arch.param_specs(), model.params):
+        if name.endswith(".bias"):
+            assert (values == 0).all()
 
 
 def test_model_validation():
     arch = nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n")
     good = nn.build_model(arch, 0)
-    with pytest.raises(nn.ModelSpecError):
-        nn.Model(arch, good.params[:1])
-    with pytest.raises(nn.ModelSpecError):
-        nn.Model(arch, [nn.WeightTensor("x", good.params[0].values),
-                        good.params[1]])
-    with pytest.raises(nn.ModelSpecError):
-        nn.Model(arch, [nn.WeightTensor(good.params[0].name,
-                                        good.params[0].values.astype(np.int32)),
-                        good.params[1]])
-    with pytest.raises(nn.ModelSpecError, match="mix dtypes"):
-        nn.Model(arch, [good.params[0],
-                        nn.WeightTensor(good.params[1].name,
-                                        good.params[1].values.astype(np.float64))])
+    for bad, fault in ((list(good.flat), "numpy array"),
+                       (good.params[:1], "numpy array"),
+                       (good.flat.reshape(3, 17), "shape"),
+                       (good.flat.astype(np.int32), "dtype"),
+                       (good.flat[:-1], "shape"),
+                       (np.concatenate([good.flat, good.flat[:1]]), "shape")):
+        with pytest.raises(nn.ModelSpecError, match=fault):
+            nn.Model(arch, bad)
+
+
+def test_params_are_views_of_one_buffer():
+    arch = nn.parse_architecture(CANONICAL)
+    model = nn.build_model(arch, seed=1)
+    assert model.flat.shape == (arch.param_count,) and model.flat.dtype == np.float32
+    assert [p.shape for p in model.params] == [shape for _, shape in arch.param_specs()]
+    assert all(np.shares_memory(model.flat, p) for p in model.params)
+    # the views tile the buffer in canonical order
+    assert np.concatenate([p.ravel() for p in model.params]).tobytes() == model.flat.tobytes()
+
+
+def test_sgd_step_through_params_changes_flat():
+    arch = nn.parse_architecture("input 1x6x6\nflatten\ndense 4 relu\ndense 2 linear\n")
+    model = nn.build_model(arch, seed=3)
+    before = model.flat.copy()
+    data = separable_two_class(seed=5)
+    _, grads, _ = nn.loss_and_gradients(model, data.images[:8], data.labels[:8])
+    for values, g in zip(model.params, grads):
+        values -= np.float32(0.1) * g
+    step = np.concatenate([g.ravel() for g in grads])
+    assert (model.flat != before).any()
+    assert np.array_equal(model.flat, before - np.float32(0.1) * step)
+
+
+def test_model_is_frozen():
+    model = nn.build_model(nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n"), 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.flat = np.zeros_like(model.flat)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.params = ()
+
+
+def test_copy_is_writable_and_independent():
+    model = nn.build_model(nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n"), 0)
+    frozen = nn.Model(model.arch, np.frombuffer(model.flat.tobytes(), dtype="<f4"),
+                      transient=True)
+    assert not frozen.flat.flags.writeable
+    assert not any(p.flags.writeable for p in frozen.params)
+    clone = frozen.copy()
+    assert clone.flat.flags.writeable and clone.transient
+    assert all(np.shares_memory(clone.flat, p) for p in clone.params)
+    clone.params[0][:] = 0
+    assert np.array_equal(frozen.flat, model.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +268,7 @@ def oracle_forward(model: nn.Model, x: np.ndarray) -> np.ndarray:
     p = 0
     for layer in model.arch.layers:
         if isinstance(layer, nn.Conv2D):
-            w, b = model.params[p].values, model.params[p + 1].values
+            w, b = model.params[p], model.params[p + 1]
             p += 2
             x = naive_conv2d(x, w, b, layer.stride, layer.padding)
             if layer.activation == "relu":
@@ -241,7 +278,7 @@ def oracle_forward(model: nn.Model, x: np.ndarray) -> np.ndarray:
         elif isinstance(layer, nn.Flatten):
             x = x.reshape(x.shape[0], -1)
         else:
-            w, b = model.params[p].values, model.params[p + 1].values
+            w, b = model.params[p], model.params[p + 1]
             p += 2
             x = naive_dense(x, w, b)
             if layer.activation == "relu":
@@ -266,11 +303,11 @@ def test_single_conv_on_3x3_input_matches_direct_sum():
     )
     model = as_float64(nn.build_model(arch, seed=3))
     x = np.random.default_rng(0).standard_normal((1, 1, 3, 3))
-    w, b = model.params[0].values, model.params[1].values
+    w, b = model.params[0], model.params[1]
     direct = np.array([[ (w[o, 0] * x[0, 0]).sum() + b[o] for o in range(2)]])
     got = nn.forward_batch(model, x)
     # 3x3 valid conv on a 3x3 input is a single dot product per filter
-    want = naive_dense(direct, model.params[2].values, model.params[3].values)
+    want = naive_dense(direct, model.params[2], model.params[3])
     assert np.allclose(got, want, rtol=1e-6)
 
 
@@ -280,7 +317,7 @@ def test_all_zero_weights_give_zero_logits():
     )
     model = nn.build_model(arch, seed=0)
     for tensor in model.params:
-        tensor.values[:] = 0
+        tensor[:] = 0
     x = np.random.default_rng(1).random((4, 1, 6, 6), dtype=np.float32)
     logits = nn.forward_batch(model, x)
     assert (logits == 0).all()
@@ -290,8 +327,8 @@ def test_all_zero_weights_give_zero_logits():
 def test_identity_dense_passthrough():
     arch = nn.parse_architecture("input 1x1x1\nflatten\ndense 1 linear\n")
     model = nn.build_model(arch, seed=0)
-    model.params[0].values[:] = 1.0
-    model.params[1].values[:] = 0.0
+    model.params[0][:] = 1.0
+    model.params[1][:] = 0.0
     for v in (0.0, -2.5, 7.25):
         out = nn.forward(model, np.array([[[v]]], dtype=np.float32))
         assert out.logits[0] == np.float32(v)
@@ -322,7 +359,7 @@ def test_training_refuses_misshapen_batch():
 def test_nonfinite_weights_propagate():
     arch = nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n")
     model = nn.build_model(arch, seed=0)
-    model.params[0].values[0, 0] = np.nan
+    model.params[0][0, 0] = np.nan
     logits = nn.forward_batch(model, np.ones((1, 1, 4, 4), dtype=np.float32))
     assert np.isnan(logits).any()
 
@@ -460,7 +497,7 @@ def test_in_place_relu_matches_out_of_place_reference():
                                  "maxpool 2x2 stride 2\nflatten\n"
                                  "dense 5 relu\ndense 4 linear\n")
     model = nn.build_model(arch, seed=2)
-    w1, b1, w2, b2, w3, b3 = (t.values for t in model.params[:6])
+    w1, b1, w2, b2, w3, b3 = (t for t in model.params[:6])
     w1[1] = w2[1] = 1.0      # carry the subnormal image's values, positive
     w1[0] = w2[0] = -0.25    # and give the conv ReLUs zero products
     w3[:, 0] = -1e-3         # products that underflow negative
@@ -473,7 +510,7 @@ def test_in_place_relu_matches_out_of_place_reference():
     labels = np.array([0, 1, 2, 3, 0, 1])
 
     caches, x, negative_zeros = [], images, []
-    values = iter(t.values for t in model.params)
+    values = iter(t for t in model.params)
     with np.errstate(all="ignore"):
         for layer, in_shape in zip(arch.layers, arch.shapes):
             params = [next(values) for _ in layer.param_shapes(in_shape)]
@@ -775,7 +812,7 @@ def test_train_is_deterministic():
     cfg = nn.TrainConfig(epochs=3, batch_size=8, learning_rate=0.05, seed=9)
     a, ha = nn.train(nn.build_model(arch, 3), data, cfg)
     b, hb = nn.train(nn.build_model(arch, 3), data, cfg)
-    assert all((x.values == y.values).all() for x, y in zip(a.params, b.params))
+    assert all((x == y).all() for x, y in zip(a.params, b.params))
     assert ha == hb
 
 
@@ -795,25 +832,25 @@ def test_train_config_rejects_bad_values(kwargs, named):
 def test_zero_learning_rate_leaves_parameters_unchanged():
     arch = nn.parse_architecture("input 1x6x6\nflatten\ndense 2 linear\n")
     model = nn.build_model(arch, seed=4)
-    before = [t.values.tobytes() for t in model.params]
+    before = [t.tobytes() for t in model.params]
     trained, _ = nn.train(
         model, separable_two_class(), nn.TrainConfig(epochs=5, learning_rate=0.0, seed=1)
     )
-    assert [t.values.tobytes() for t in trained.params] == before
+    assert [t.tobytes() for t in trained.params] == before
 
 
 def test_train_does_not_mutate_input_model():
     arch = nn.parse_architecture("input 1x6x6\nflatten\ndense 2 linear\n")
     model = nn.build_model(arch, seed=4)
-    before = [t.values.tobytes() for t in model.params]
+    before = [t.tobytes() for t in model.params]
     nn.train(model, separable_two_class(), nn.TrainConfig(epochs=1, seed=0))
-    assert [t.values.tobytes() for t in model.params] == before
+    assert [t.tobytes() for t in model.params] == before
 
 
 def test_nonfinite_loss_is_reported_not_fatal():
     arch = nn.parse_architecture("input 1x6x6\nflatten\ndense 2 linear\n")
     model = nn.build_model(arch, seed=4)
-    model.params[0].values[:] = np.nan
+    model.params[0][:] = np.nan
     trained, history = nn.train(
         model, separable_two_class(), nn.TrainConfig(epochs=2, batch_size=16, seed=0)
     )
@@ -839,13 +876,13 @@ def test_label_out_of_range_rejected():
 ], ids=["negative", "too-large", "broadcast-length-1", "column", "float"])
 def test_bad_labels_rejected_where_every_batch_passes(batch, labels, fault):
     model = nn.build_model(nn.parse_architecture("input 1x4x4\nflatten\ndense 3 linear\n"), seed=0)
-    before = [t.values.copy() for t in model.params]
+    before = [t.copy() for t in model.params]
     images = np.ones((batch, 1, 4, 4), dtype=np.float32)
     with pytest.raises(ValueError, match=fault):
         nn.loss_and_gradients(model, images, labels)
     with pytest.raises(ValueError, match=fault):
         nn.train(model, ArrayData(images, labels), nn.TrainConfig(epochs=1, batch_size=batch))
-    assert all(np.array_equal(a, t.values) for a, t in zip(before, model.params))
+    assert all(np.array_equal(a, t) for a, t in zip(before, model.params))
 
 
 @pytest.mark.parametrize("name", ["mnist", "cifar10"])
