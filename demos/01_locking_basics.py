@@ -62,7 +62,5 @@ print(f"plain accuracy:  {plain_report.accuracy:.4f}")
 print(f"locked accuracy: {locked_report.accuracy:.4f} (same key, identical by construction)")
 
 view = unlock_model(locked_model, key)
-identical = all(
-    a.tobytes() == b.tobytes() for a, b in zip(model.params, view.params)
-)
+identical = model.flat.tobytes() == view.flat.tobytes()
 print("unlocked parameters bit-identical:", identical)

@@ -42,7 +42,7 @@ print(f"correct-key accuracy: {evaluate(locked, test_set, key=key).accuracy:.3f}
 # --- inspect one wrong-key decryption ---------------------------------------
 wrong = generate_wrong_keys(1, seed=9, true_key=key)[0]
 garbage = unlock_model(locked, wrong)
-values = np.concatenate([t.ravel() for t in garbage.params])
+values = garbage.flat
 print(f"\none wrong key decodes {values.size} parameters into:")
 print(f"  non-finite fraction: {(~np.isfinite(values)).mean():.4%}"
       f"  (uniform bit patterns give about 1/128)")
